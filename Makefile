@@ -30,7 +30,7 @@ vet:
 # Runs the root benchmark harness at a stable benchtime and records the
 # parsed results in two reports tracked across PRs: BENCH_service.json
 # (narration pipeline + serving layer) and BENCH_engine.json (substrate
-# engine executor/planner, including the streaming-vs-reference pairs).
+# engine executor/planner, including the vectorized-vs-reference pairs).
 bench: bench-service bench-engine
 
 # The beam/paraphrase ablations are narration-pipeline benchmarks and stay
@@ -43,10 +43,10 @@ bench-engine:
 	$(GO) test -run xxx -bench '^Benchmark(Exec|Planner|AblationJoin|AblationIndex|AblationSeqScan|AblationOrdering)' -benchmem -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson -out BENCH_engine.json
 
 # The morsel-parallel suite at pinned core counts: the -cpu 1 report is
-# the serial-parity check, the -cpu 4 report the scaling one. Each report
-# records the GOMAXPROCS it ran at, and benchjson -compare warns when two
-# reports come from different core counts, so cross-comparing the
-# variants is possible but flagged.
+# the serial-parity check, the -cpu 4 report the scaling one. Each result
+# records the GOMAXPROCS it ran at (the -N suffix of its name), and
+# benchjson -compare warns when a result's GOMAXPROCS differs between two
+# reports, so cross-comparing the variants is possible but flagged.
 bench-engine-cpu:
 	$(GO) test -run xxx -bench '^BenchmarkExec(Parallel|LimitShortCircuit)' -cpu 1 -benchmem -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson -out BENCH_engine.cpu1.json
 	$(GO) test -run xxx -bench '^BenchmarkExec(Parallel|LimitShortCircuit)' -cpu 4 -benchmem -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson -out BENCH_engine.cpu4.json

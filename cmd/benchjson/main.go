@@ -26,23 +26,29 @@ import (
 	"time"
 )
 
-// Result is one parsed benchmark line. BytesPerOp/AllocsPerOp are
-// pointers so a genuine 0 B/op result stays distinguishable from a run
-// without -benchmem.
+// Result is one parsed benchmark line. Name is the benchmark name without
+// the "-N" GOMAXPROCS suffix `go test` appends; Procs holds N (1 when the
+// suffix is absent, which is how `go test` prints a GOMAXPROCS=1 run).
+// BytesPerOp/AllocsPerOp are pointers so a genuine 0 B/op result stays
+// distinguishable from a run without -benchmem. Metrics holds the custom
+// units benchmarks report through b.ReportMetric, keyed by unit.
 type Result struct {
-	Name        string   `json:"name"`
-	Iterations  int64    `json:"iterations"`
-	NsPerOp     float64  `json:"ns_per_op"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	Name        string             `json:"name"`
+	Procs       int                `json:"procs,omitempty"`
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Report is the BENCH_service.json payload. GoMaxProcs/NumCPU record the
-// parallelism environment of the run: comparing reports taken at
-// different core counts is legitimate (e.g. the -cpu 1 and -cpu 4
-// variants of the engine suite) but the ns/op deltas then mix code
-// changes with scheduling effects, so -compare warns about the mismatch
-// without failing on it.
+// Report is the BENCH_service.json payload. GoMaxProcs is the GOMAXPROCS
+// the benchmarks ran at, taken from the results' Procs when they all agree
+// (0 when they differ); NumCPU is the machine's core count. Comparing
+// reports taken at different core counts is legitimate (e.g. the -cpu 1
+// and -cpu 4 variants of the engine suite) but the ns/op deltas then mix
+// code changes with scheduling effects, so -compare warns about the
+// mismatch without failing on it.
 type Report struct {
 	GeneratedAt string            `json:"generated_at"`
 	GoVersion   string            `json:"go_version,omitempty"`
@@ -52,10 +58,61 @@ type Report struct {
 	Benchmarks  []Result          `json:"benchmarks"`
 }
 
-// benchLine matches e.g.
-// BenchmarkServiceNarrateCached-8   930512   1286 ns/op   312 B/op   7 allocs/op
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// benchLine matches a result line: name, iteration count, then value/unit
+// pairs, e.g.
+//
+//	BenchmarkServiceNarrateCached-8   930512   1286 ns/op   312 B/op   7 allocs/op
+//	BenchmarkExecParallelScan-4   220   1534425 ns/op   4.00 workers   63285 B/op   180 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.+)$`)
+
+// procsSuffix is the "-N" GOMAXPROCS suffix of a benchmark name. A
+// GOMAXPROCS=1 run has no suffix, so a sub-benchmark name that itself ends
+// in "-<digits>" is ambiguous in such a run; benchmark names here avoid
+// that form.
+var procsSuffix = regexp.MustCompile(`^(.+)-(\d+)$`)
+
+// splitProcs separates a benchmark name from its GOMAXPROCS suffix.
+func splitProcs(name string) (string, int) {
+	if m := procsSuffix.FindStringSubmatch(name); m != nil {
+		if n, err := strconv.Atoi(m[2]); err == nil && n > 0 {
+			return m[1], n
+		}
+	}
+	return name, 1
+}
+
+// parseBenchLine parses one `go test -bench` result line; ok is false for
+// any other line.
+func parseBenchLine(line string) (r Result, ok bool) {
+	m := benchLine.FindStringSubmatch(line)
+	if m == nil {
+		return Result{}, false
+	}
+	r.Name, r.Procs = splitProcs(m[1])
+	r.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
+	fields := strings.Fields(m[3])
+	sawNs := false
+	for i := 0; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			return Result{}, false
+		}
+		switch unit := fields[i+1]; unit {
+		case "ns/op":
+			r.NsPerOp, sawNs = v, true
+		case "B/op":
+			r.BytesPerOp = &v
+		case "allocs/op":
+			r.AllocsPerOp = &v
+		default:
+			if r.Metrics == nil {
+				r.Metrics = make(map[string]float64)
+			}
+			r.Metrics[unit] = v
+		}
+	}
+	return r, sawNs
+}
 
 // configLine matches self-describing setup lines benchmarks print, e.g.
 //
@@ -82,7 +139,6 @@ func main() {
 	report := Report{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
 	}
 	sc := bufio.NewScanner(os.Stdin)
@@ -101,22 +157,9 @@ func main() {
 			}
 			continue
 		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
+		if r, ok := parseBenchLine(line); ok {
+			report.Benchmarks = append(report.Benchmarks, r)
 		}
-		r := Result{Name: m[1]}
-		r.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-		r.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			v, _ := strconv.ParseFloat(m[4], 64)
-			r.BytesPerOp = &v
-		}
-		if m[5] != "" {
-			v, _ := strconv.ParseFloat(m[5], 64)
-			r.AllocsPerOp = &v
-		}
-		report.Benchmarks = append(report.Benchmarks, r)
 	}
 	if err := sc.Err(); err != nil {
 		log.Fatalf("benchjson: reading stdin: %v", err)
@@ -124,6 +167,7 @@ func main() {
 	if len(report.Benchmarks) == 0 {
 		log.Fatal("benchjson: no benchmark lines found on stdin")
 	}
+	report.GoMaxProcs = commonProcs(report.Benchmarks)
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -134,7 +178,22 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(report.Benchmarks), *out)
 }
 
-// loadReport reads a previously-written benchmark report.
+// commonProcs returns the GOMAXPROCS every result ran at, or 0 when they
+// differ.
+func commonProcs(results []Result) int {
+	procs := 0
+	for _, r := range results {
+		if procs != 0 && r.Procs != procs {
+			return 0
+		}
+		procs = r.Procs
+	}
+	return procs
+}
+
+// loadReport reads a previously-written benchmark report. Reports written
+// before Result.Procs existed keep the suffix in the name; it is split off
+// here so they compare by name against newer ones.
 func loadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -143,6 +202,11 @@ func loadReport(path string) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	for i := range r.Benchmarks {
+		if b := &r.Benchmarks[i]; b.Procs == 0 {
+			b.Name, b.Procs = splitProcs(b.Name)
+		}
 	}
 	return &r, nil
 }
@@ -201,6 +265,11 @@ func compareReports(oldPath, newPath string, threshold float64) int {
 			continue
 		}
 		delete(oldBy, nb.Name)
+		// Reports whose GOMAXPROCS differ were already flagged as a whole.
+		if ob.Procs != nb.Procs && (ob.Procs != oldRep.GoMaxProcs || nb.Procs != newRep.GoMaxProcs) {
+			fmt.Printf("benchjson: WARNING: %s ran at different GOMAXPROCS (%d vs %d); its ns/op delta includes scheduling effects\n",
+				nb.Name, ob.Procs, nb.Procs)
+		}
 		if ob.NsPerOp <= 0 {
 			continue
 		}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -98,4 +100,109 @@ func TestCompareFlagsAllocRegression(t *testing.T) {
 	if got := compareReports(zero, bare, 0.20); got != 0 {
 		t.Fatalf("allocs missing on one side: exit %d, want 0", got)
 	}
+}
+
+func TestParseBenchLineProcsSuffix(t *testing.T) {
+	cases := []struct {
+		line  string
+		name  string
+		procs int
+	}{
+		{"BenchmarkExecParallelScan-4   220   1534425 ns/op", "BenchmarkExecParallelScan", 4},
+		{"BenchmarkExecParallelScan   295   1495401 ns/op", "BenchmarkExecParallelScan", 1},
+		{"BenchmarkPool/warm-16   10   99 ns/op", "BenchmarkPool/warm", 16},
+	}
+	for _, c := range cases {
+		r, ok := parseBenchLine(c.line)
+		if !ok {
+			t.Fatalf("%q: not parsed", c.line)
+		}
+		if r.Name != c.name || r.Procs != c.procs {
+			t.Errorf("%q: name %q procs %d, want %q procs %d", c.line, r.Name, r.Procs, c.name, c.procs)
+		}
+	}
+	if got := commonProcs([]Result{{Procs: 4}, {Procs: 4}}); got != 4 {
+		t.Errorf("commonProcs of a -cpu 4 run = %d, want 4", got)
+	}
+	if got := commonProcs([]Result{{Procs: 1}, {Procs: 4}}); got != 0 {
+		t.Errorf("commonProcs of mixed procs = %d, want 0", got)
+	}
+}
+
+// TestParseBenchLineCustomMetrics: a b.ReportMetric unit between ns/op and
+// B/op must not hide the memory columns, and is recorded itself.
+func TestParseBenchLineCustomMetrics(t *testing.T) {
+	r, ok := parseBenchLine("BenchmarkExecParallelScan-4  220  1534425 ns/op  4.00 workers  63285 B/op  180 allocs/op")
+	if !ok {
+		t.Fatal("line not parsed")
+	}
+	if r.NsPerOp != 1534425 || r.Iterations != 220 {
+		t.Errorf("ns/op %v iterations %d", r.NsPerOp, r.Iterations)
+	}
+	if r.BytesPerOp == nil || *r.BytesPerOp != 63285 {
+		t.Errorf("B/op = %v, want 63285", r.BytesPerOp)
+	}
+	if r.AllocsPerOp == nil || *r.AllocsPerOp != 180 {
+		t.Errorf("allocs/op = %v, want 180", r.AllocsPerOp)
+	}
+	if r.Metrics["workers"] != 4 {
+		t.Errorf("custom metric workers = %v, want 4", r.Metrics["workers"])
+	}
+	if _, ok := parseBenchLine("BenchmarkBroken-4  10  fast"); ok {
+		t.Error("a line without ns/op parsed as a result")
+	}
+}
+
+// TestCompareWarnsOnProcsMismatchPerResult: results of one name taken at
+// different GOMAXPROCS still compare, with a warning, and a report written
+// before the procs field existed (suffix still in the name) matches a
+// newer one by name.
+func TestCompareWarnsOnProcsMismatchPerResult(t *testing.T) {
+	dir := t.TempDir()
+	legacy := writeReport(t, dir, "legacy.json", []Result{{Name: "BenchmarkX-4", NsPerOp: 1000}})
+	one := writeReport(t, dir, "one.json", []Result{{Name: "BenchmarkX", Procs: 1, NsPerOp: 1000}})
+	four := writeReport(t, dir, "four.json", []Result{{Name: "BenchmarkX", Procs: 4, NsPerOp: 1000}})
+	rep, err := loadReport(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := rep.Benchmarks[0]; b.Name != "BenchmarkX" || b.Procs != 4 {
+		t.Fatalf("legacy result loaded as %q procs %d, want BenchmarkX procs 4", b.Name, b.Procs)
+	}
+	out := captureStdout(t, func() {
+		if got := compareReports(one, four, 0.20); got != 0 {
+			t.Fatalf("procs mismatch alone: exit %d, want 0", got)
+		}
+	})
+	if !strings.Contains(out, "BenchmarkX ran at different GOMAXPROCS (1 vs 4)") {
+		t.Errorf("no per-result procs warning in:\n%s", out)
+	}
+	out = captureStdout(t, func() {
+		if got := compareReports(legacy, four, 0.20); got != 0 {
+			t.Fatalf("legacy vs new: exit %d, want 0", got)
+		}
+	})
+	if strings.Contains(out, "missing") || strings.Contains(out, "WARNING") {
+		t.Errorf("legacy report did not match the new one by name:\n%s", out)
+	}
+}
+
+// captureStdout returns what fn prints to stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- string(data)
+	}()
+	defer func() { os.Stdout = saved }()
+	fn()
+	w.Close()
+	return <-done
 }

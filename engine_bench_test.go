@@ -2,12 +2,10 @@ package lantern
 
 // Engine micro-benchmarks for the executor, recorded to BENCH_engine.json
 // by `make bench`. The default path is the batch-at-a-time vectorized
-// pipeline; twins pin the ablations: *RowStream (Config.RowStreamExec)
-// forces the row-at-a-time streaming pipeline — the allocs/op gap against
-// the default is the point of vectorization — and *Reference
-// (Config.ReferenceExec) is full materialization, where
-// ExecLimitShortCircuit vs ExecLimitFullMaterialize remains the headline:
-// LIMIT 10 over a scan touches ten heap rows instead of the whole table.
+// pipeline; *Reference twins (Config.ReferenceExec) pin the
+// full-materialization ablation, where ExecLimitShortCircuit vs
+// ExecLimitFullMaterialize remains the headline: LIMIT 10 over a scan
+// touches one small chunk of heap rows instead of the whole table.
 //
 //	go test -bench 'BenchmarkExec' -benchmem .
 import (
@@ -49,7 +47,7 @@ const (
 		WHERE c.c_custkey = o.o_custkey AND o.o_totalprice > 1000`
 	execTopKQuery              = `SELECT l_orderkey, l_extendedprice FROM lineitem ORDER BY l_extendedprice DESC LIMIT 10`
 	execLimitShortCircuitQuery = `SELECT l_orderkey FROM lineitem WHERE l_quantity > 10 LIMIT 10`
-	execStreamScanQuery        = `SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 25`
+	streamScanQuery            = `SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 25`
 )
 
 // --- Joins -------------------------------------------------------------------
@@ -57,13 +55,6 @@ const (
 func BenchmarkExecJoinHash(b *testing.B) {
 	benchQuery(b, execBenchEngine(b, false, func(c *engine.Config) {
 		c.EnableMergeJoin, c.EnableNestLoop = false, false
-	}), execJoinHashQuery)
-}
-
-func BenchmarkExecJoinHashRowStream(b *testing.B) {
-	benchQuery(b, execBenchEngine(b, false, func(c *engine.Config) {
-		c.EnableMergeJoin, c.EnableNestLoop = false, false
-		c.RowStreamExec = true
 	}), execJoinHashQuery)
 }
 
@@ -163,15 +154,11 @@ func BenchmarkExecParallelJoinHashSerial(b *testing.B) {
 // --- Streaming scan ----------------------------------------------------------
 
 func BenchmarkExecStreamScan(b *testing.B) {
-	benchQuery(b, execBenchEngine(b, false, nil), execStreamScanQuery)
-}
-
-func BenchmarkExecStreamScanRowStream(b *testing.B) {
-	benchQuery(b, execBenchEngine(b, false, func(c *engine.Config) { c.RowStreamExec = true }), execStreamScanQuery)
+	benchQuery(b, execBenchEngine(b, false, nil), streamScanQuery)
 }
 
 func BenchmarkExecStreamScanReference(b *testing.B) {
-	benchQuery(b, execBenchEngine(b, true, nil), execStreamScanQuery)
+	benchQuery(b, execBenchEngine(b, true, nil), streamScanQuery)
 }
 
 // --- Zone-map pruning --------------------------------------------------------

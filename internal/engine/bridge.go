@@ -3,37 +3,33 @@ package engine
 // bridge.go is the native engine↔plan bridge: it converts the engine's
 // physical plan directly into the vendor-neutral plan.Node tree the
 // narrator consumes (no EXPLAIN-text round-trip), and provides the opt-in
-// iterator instrumentation that annotates that tree with per-operator
-// runtime statistics — PostgreSQL's EXPLAIN ANALYZE semantics.
+// instrumentation that annotates that tree with per-operator runtime
+// statistics — PostgreSQL's EXPLAIN ANALYZE semantics.
 //
 // The instrumentation contract:
 //
-//   - Collection is opt-in per execution. The normal path (Engine.Exec,
-//     execStream) runs the vectorized batch pipeline with no wrap hook, so
-//     a disabled run pays zero extra allocations and zero extra branches —
-//     the pipeline is the identical object graph the allocation guards in
-//     alloc_test.go measure.
-//   - When enabled (ExecPlanInstrumented, QueryInstrumented, EXPLAIN
-//     ANALYZE), serial plans route to the row-at-a-time pipeline and every
-//     plan operator's iterator is wrapped in an instrIter that counts Open
-//     calls (loops), rows returned by Next (actual rows), and inclusive
-//     wall time spent inside Open/Next — inclusive meaning a parent's time
-//     contains its children's, exactly as PostgreSQL reports actual time.
-//     Per-row wrapping keeps actual rows exact at every operator, which
-//     batch-boundary counting could not guarantee; the differential suite
-//     pins both pipelines to identical results, so the instrumented
-//     actuals describe the same query the batch path executes.
-//   - Parallel plans (driver DOP >= 2, parallel.go) cannot run on the row
-//     pipeline, so they execute the vectorized exchange with every batch
-//     operator wrapped in an instrVecIter. Its counters are atomic: the
-//     workers' clones of one operator share a single OpStats, so Rows and
-//     Time are exact totals across workers (time sums busy time, like CPU
-//     time). Loops are reported as 1 for these operators — per-morsel
-//     pipeline restarts are scheduling, not EXPLAIN loops — and the driver
-//     scan's stats additionally carry the worker count and per-worker
-//     rows/time breakdown (OpStats.Workers / PerWorker).
-//   - Actual rows are totals across all loops, matching EXPLAIN ANALYZE;
-//     pass-through operators (Hash, Materialize) get their own wrapper, so
+//   - Collection is opt-in per execution. The normal path (Engine.Exec)
+//     builds the batch pipeline with no stats hook, so a disabled run has
+//     no wrapper objects: zero extra allocations and zero extra branches,
+//     the identical object graph the allocation guards in alloc_test.go
+//     measure.
+//   - When enabled (ExecPlanInstrumented, QueryInstrumented, the streaming
+//     query API, EXPLAIN ANALYZE), the same batch pipeline runs, serial or
+//     parallel, with every plan operator wrapped in an instrVecIter that
+//     counts the rows of each batch the operator returns (actual rows) and
+//     the inclusive wall time spent inside its Open/NextBatch — inclusive
+//     meaning a parent's time contains its children's, exactly as
+//     PostgreSQL reports actual time. The counters are atomic: in a
+//     parallel region the workers' clones of one operator share a single
+//     OpStats, so Rows and Time are exact totals across workers (time sums
+//     busy time, like CPU time), and the driver scan's stats additionally
+//     carry the worker count and per-worker rows/time breakdown
+//     (OpStats.Workers / PerWorker).
+//   - Rows are counted per batch, so under a LIMIT an operator reports the
+//     rows it emitted, which can exceed what the Limit consumed: a scan's
+//     first chunk is initialChunkSize rows. Loops are always 1 (see
+//     OpStats.Loops).
+//   - Pass-through operators (Hash, Materialize) get their own wrapper, so
 //     a Hash node reports the build-side row count.
 //   - Whenever a plan was considered for parallelism, the driver's actual
 //     row count is fed back through the DOP policy: if the actuals would
@@ -48,6 +44,7 @@ package engine
 import (
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"lantern/internal/plan"
@@ -57,14 +54,20 @@ import (
 
 // OpStats is the runtime statistics of one plan operator.
 type OpStats struct {
-	// Rows is the total number of rows the operator produced across all
-	// loops (summed across workers in a parallel region).
+	// Rows is the total number of rows the operator returned, summed over
+	// its batches (and across workers in a parallel region). Under a LIMIT
+	// this counts whole batches the operator emitted, which can be more
+	// rows than the Limit consumed: a sequential scan's first batch is
+	// initialChunkSize (64) rows, so the scan below `LIMIT 3` reports up to
+	// 64.
 	Rows int64
-	// Loops counts how many times the operator was (re)started (Open
-	// calls). Operators inside a parallel region report 1.
+	// Loops is how many times the operator ran. It is always 1: no
+	// operator re-opens a child (nested loop materializes its inner side
+	// once), and the per-morsel pipeline restarts of a parallel region are
+	// scheduling, not EXPLAIN loops.
 	Loops int64
 	// Time is the inclusive wall time spent in the operator's Open and
-	// Next calls, children included. In a parallel region it sums the
+	// NextBatch calls, children included. In a parallel region it sums the
 	// workers' busy time, like CPU time.
 	Time time.Duration
 	// Workers is the degree of parallelism the operator actually ran with;
@@ -80,8 +83,8 @@ type OpStats struct {
 	PerWorker []WorkerStat
 	// SegsScanned and SegsPruned count the sealed column segments a
 	// sequential scan examined versus skipped outright via zone maps
-	// (totals across loops and workers). Both stay 0 for tables whose rows
-	// all live in the unsealed tail, and for non-scan operators.
+	// (totals across workers). Both stay 0 for tables whose rows all live
+	// in the unsealed tail, and for non-scan operators.
 	SegsScanned int64
 	SegsPruned  int64
 }
@@ -96,65 +99,68 @@ type WorkerStat struct {
 // map means "no instrumentation".
 type ExecStats map[*Node]*OpStats
 
-// instrIter decorates one operator iterator with statistics collection.
-type instrIter struct {
-	child rowIter
-	st    *OpStats
+// instrVecIter counts rows and inclusive wall time through one operator.
+// The counters are atomic because in a parallel region one OpStats
+// instance is shared by every worker's clone of the operator, so totals
+// sum across workers. Loops are not counted here (see OpStats.Loops);
+// annotateWorkerStats sets them afterwards.
+type instrVecIter struct {
+	child vecIter
+	rows  *int64
+	nanos *int64
 }
 
-func (it *instrIter) Open() error {
-	it.st.Loops++
+func (it *instrVecIter) Open() error {
 	start := time.Now()
 	err := it.child.Open()
-	it.st.Time += time.Since(start)
+	atomic.AddInt64(it.nanos, int64(time.Since(start)))
 	return err
 }
 
-func (it *instrIter) Next() (storage.Row, bool, error) {
+func (it *instrVecIter) NextBatch() ([]storage.Row, error) {
 	start := time.Now()
-	r, ok, err := it.child.Next()
-	it.st.Time += time.Since(start)
-	if ok {
-		it.st.Rows++
+	b, err := it.child.NextBatch()
+	atomic.AddInt64(it.nanos, int64(time.Since(start)))
+	if len(b) > 0 {
+		atomic.AddInt64(it.rows, int64(len(b)))
 	}
-	return r, ok, err
+	return b, err
 }
 
-func (it *instrIter) Close() error { return it.child.Close() }
+func (it *instrVecIter) Close() error { return it.child.Close() }
+
+// instr wraps it in an instrVecIter when the builder collects stats.
+func (v *vbuild) instr(n *Node, it vecIter) vecIter {
+	if v.stats == nil {
+		return it
+	}
+	os := v.stats(n)
+	return &instrVecIter{child: it, rows: &os.Rows, nanos: (*int64)(&os.Time)}
+}
+
+// buildInstrumented builds n's batch pipeline — with the morsel exchange
+// when the planner chose parallelism — with every operator instrumented
+// into st.
+func (e *Engine) buildInstrumented(n *Node, st ExecStats) (vecIter, error) {
+	return e.newVBuild(e.activeParShape(n), st.get).build(n)
+}
 
 // ExecPlanInstrumented runs a physical plan with per-operator
 // instrumentation enabled, returning the result rows and the collected
-// statistics. Serial plans run the row-at-a-time executor (exact per-row
-// actuals); parallel plans run the vectorized exchange with atomic batch
-// counters (see the header).
+// statistics.
 func (e *Engine) ExecPlanInstrumented(n *Node) ([]storage.Row, ExecStats, error) {
-	if sh := e.activeParShape(n); sh != nil {
-		return e.execPlanInstrumentedVec(n, sh)
-	}
 	st := make(ExecStats)
-	b := &ibuild{e: e, stats: st.get, wrap: func(pn *Node, it rowIter) rowIter {
-		return &instrIter{child: it, st: st.get(pn)}
-	}}
-	it, err := b.build(n)
+	it, err := e.buildInstrumented(n, st)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer it.Close()
-	if err := it.Open(); err != nil {
+	out, err := drain(it)
+	if err != nil {
 		return nil, nil, err
 	}
-	var out []storage.Row
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			e.annotateWorkerStats(n, st)
-			return out, st, nil
-		}
-		out = append(out, r)
-	}
+	e.annotateWorkerStats(n, st)
+	return out, st, nil
 }
 
 // get returns (allocating if needed) the stats slot for a node.
@@ -167,45 +173,15 @@ func (st ExecStats) get(n *Node) *OpStats {
 	return os
 }
 
-// execPlanInstrumentedVec is the instrumented runner for parallel plans:
-// the vectorized pipeline with every operator wrapped in an instrVecIter
-// (atomic counters shared across worker clones).
-func (e *Engine) execPlanInstrumentedVec(n *Node, sh *parShape) ([]storage.Row, ExecStats, error) {
-	st := make(ExecStats)
-	v := e.newVBuild(sh, st.get)
-	it, err := v.build(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer it.Close()
-	if err := it.Open(); err != nil {
-		return nil, nil, err
-	}
-	var out []storage.Row
-	for {
-		b, err := it.NextBatch()
-		if err != nil {
-			return nil, nil, err
-		}
-		if b == nil {
-			e.annotateWorkerStats(n, st)
-			return out, st, nil
-		}
-		out = append(out, b...)
-	}
-}
-
-// annotateWorkerStats normalizes parallel-run statistics after execution:
-// batch-instrumented operators never count loops, so any touched stats
-// entry without one gets Loops = 1; and when the plan was considered for
+// annotateWorkerStats normalizes statistics after execution:
+// instrumented operators never count loops, so every stats entry gets
+// Loops = 1; and when the plan was considered for
 // parallelism (driver DOP >= 1), the driver's actual row count is fed back
 // through the DOP policy to expose what a correct estimate would have
 // chosen (narrated via AttrWorkersWanted when larger).
 func (e *Engine) annotateWorkerStats(n *Node, st ExecStats) {
 	for _, os := range st {
-		if os.Loops == 0 {
-			os.Loops = 1
-		}
+		os.Loops = 1
 	}
 	var driver *Node
 	n.Walk(func(x *Node) {

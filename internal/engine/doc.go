@@ -9,8 +9,8 @@
 //
 // # Execution model
 //
-// SELECT queries execute batch-at-a-time by default (vec.go, vecjoin.go,
-// vecsort.go): every vectorized operator implements
+// SELECT queries execute batch-at-a-time through one production executor
+// (vec.go, vecjoin.go, vecsort.go, vecagg.go): every operator implements
 //
 //	type vecIter interface {
 //		Open() error
@@ -21,12 +21,13 @@
 // NextBatch returns up to batchSize (1024) rows per call, never an empty
 // batch; nil signals end of stream. Scans slice storage-owned row memory
 // directly (an unfiltered chunk is a zero-copy subslice) and run compiled
-// predicates over whole chunks in tight typed loops; the hash join packs
-// joined rows into a per-batch flat datum arena (one allocation per
-// output batch instead of one per row); sort keeps the bounded top-K heap
-// or sorts an index permutation over a flat key arena. The allocation
-// guards in alloc_test.go pin the steady-state batch loops at (near) zero
-// allocations per batch.
+// predicates over whole chunks in tight typed loops; joins pack joined
+// rows into per-batch flat datum arenas (one allocation per output batch
+// instead of one per row); sort keeps the bounded top-K heap or sorts an
+// index permutation over a flat key arena; aggregation keys groups with
+// one loop shared by the serial operator and the parallel workers. The
+// allocation guards in alloc_test.go pin the steady-state batch loops at
+// (near) zero allocations per batch.
 //
 // The first batches of a scan are deliberately small: NextBatch starts
 // at initialChunkSize (64) rows and grows the chunk ×4 per call up to
@@ -34,24 +35,20 @@
 // full batch, while long scans reach full batch width within three
 // calls.
 //
-// The row-at-a-time streaming pipeline (iter.go) — rowIter with
-// Open/Next/Close — is retained in full. It is the execution path for
-// serial instrumented runs (EXPLAIN ANALYZE semantics need exact
-// per-operator actuals, which per-row wrappers collect), for
-// Config.RowStreamExec (pinned in benchmarks as the vectorization
-// ablation), and the adapter pair in vec.go bridges the two models:
-// rowToVec lifts a row iterator into batches where no native vectorized
-// operator exists, and the row-streaming Exec surface (StreamingQuery,
-// the session pool, LIMIT short-circuit consumption) drains the batch
-// pipeline one row at a time through vecToRow without buffering whole
-// results.
+// The engine has three executors: the serial batch pipeline, the
+// morsel-parallel exchange that runs clones of the same operators on
+// worker goroutines (parallel.go), and the materializing reference
+// executor (executor.go), kept only as the semantic oracle. Instrumented
+// runs (EXPLAIN ANALYZE, the query and streaming APIs) execute the same
+// batch pipeline with a counting wrapper around each operator; the
+// streaming API hands rows out one at a time from the current batch
+// without buffering whole results.
 //
 // # Columnar scans and zone-map pruning
 //
 // The storage layer (internal/storage) keeps each table as immutable
 // column-major sealed segments plus a row-major mutable tail, and every
-// scan — vectorized, row-stream, parallel, reference — operates a
-// Snapshot taken at Open. The scan contract against that layout:
+// scan — serial, parallel, reference — operates a Snapshot taken at Open. The scan contract against that layout:
 //
 //   - A Snapshot is a stable point-in-time view: concurrent INSERTs,
 //     UPDATEs, DELETEs, and CreateIndex calls never change what an open
@@ -71,7 +68,7 @@
 //     zone map refutes the predicate under the same datum.Compare total
 //     order the row-level verdicts use, so a pruned segment can never
 //     contain a surviving row. The differential pruning corpus
-//     (pruning_diff_test.go) pins all four executors identical across
+//     (pruning_diff_test.go) pins every executor identical across
 //     segment-boundary literals, all-NULL segments, NULL-literal
 //     comparisons, and prune-everything predicates.
 //   - The unsealed tail has no zone maps and is scanned row-at-a-time via
@@ -146,13 +143,12 @@
 // the dispenser and drains the pool; Close during a parallel stream
 // (client disconnect) does the same, pinned by the cancellation tests.
 //
-// Instrumented parallel runs keep the vectorized pipeline (per-row
-// wrapping would serialize the workers): instrVecIter counts batches
-// with atomic adds, and per-worker actuals (rows, busy time) aggregate
-// into the driving operator's stats as OpStats.PerWorker, with
-// OpStats.Workers carrying the worker count the narrator calls out and
-// WantedWorkers recording the DOP a mis-estimated plan left on the
-// table.
+// Instrumented parallel runs wrap each worker's operator clones like the
+// serial ones: instrVecIter counts batches with atomic adds, and
+// per-worker actuals (rows, busy time) aggregate into the driving
+// operator's stats as OpStats.PerWorker, with OpStats.Workers carrying
+// the worker count the narrator calls out and WantedWorkers recording
+// the DOP a mis-estimated plan left on the table.
 //
 // # Operator contracts
 //
@@ -182,10 +178,10 @@
 //
 // Limit stops pulling from its child once offset+limit rows have been
 // seen, so `LIMIT 10` over a scan touches ten heap rows instead of the
-// whole table — at batch granularity in the vectorized path: the first
-// 1024-row chunk is processed even when only ten rows are needed, which
-// trades a bounded amount of work on tiny limits for the batch loop's
-// throughput everywhere else. Whole batches inside the OFFSET are skipped
+// whole table — at batch granularity: the first initialChunkSize (64) row
+// chunk is processed even when only ten rows are needed, which trades a
+// bounded amount of work on tiny limits for the batch loop's throughput
+// everywhere else. Whole batches inside the OFFSET are skipped
 // without touching their rows. When a Sort feeds a Limit directly, the
 // planner marks
 // the Sort with SortLimit = limit + offset and the executor keeps a
@@ -208,20 +204,23 @@
 // Runtime instrumentation is opt-in per execution and follows EXPLAIN
 // ANALYZE semantics:
 //
-//   - Disabled (the default): the vectorized pipeline runs with no
-//     wrapper objects and no counters — zero extra allocations and zero
-//     extra branches per batch. The allocation guards in alloc_test.go
+//   - Disabled (the default): the batch pipeline runs with no wrapper
+//     objects and no counters — zero extra allocations and zero extra
+//     branches per batch. The allocation guards in alloc_test.go
 //     enforce this.
-//   - Enabled (ExecPlanInstrumented, QueryInstrumented, or the EXPLAIN
-//     ANALYZE statement): serial plans route to the row pipeline and
-//     every operator's iterator is wrapped in an instrIter collecting
-//     actual rows (totals across all loops), loops (Open calls), and
-//     inclusive wall time — a parent's time contains its children's, as
-//     PostgreSQL reports it. Parallel plans stay on the vectorized
-//     pipeline (see Morsel-driven parallelism) with batch-granular
-//     atomic counters instead. The differential suite pins all pipelines
-//     to identical results, so instrumented counts describe the same
-//     query either way.
+//   - Enabled (ExecPlanInstrumented, QueryInstrumented, the streaming
+//     query API, or the EXPLAIN ANALYZE statement): the same batch
+//     pipeline, serial or parallel, with every operator wrapped in an
+//     instrVecIter collecting actual rows (summed over the batches it
+//     returned, and across workers) and inclusive wall time — a parent's
+//     time contains its children's, as PostgreSQL reports it. Loops are
+//     always 1: no operator re-opens a child.
+//   - Actual rows are counted per batch, so an operator below a LIMIT
+//     reports every row of the batches it emitted, which can exceed what
+//     the Limit consumed (a scan's first batch is 64 rows). The
+//     differential suite runs every query instrumented as one of its
+//     legs, so the served actuals describe exactly the rows the oracle
+//     produces.
 //
 // Collected stats annotate bridged trees via the standardized attrs
 // AttrActualRows / AttrLoops / AttrTimeMs, plus AttrWorkers /
@@ -234,9 +233,9 @@
 //
 // The original materialize-everything executor (executor.go) is retained
 // behind Config.ReferenceExec as the semantic oracle: the differential
-// tests run the full corpus and a randomized query generator through all
-// three executors — vectorized, row-streaming, reference — and assert
-// identical row multisets (sequences, under ORDER BY), and the engine
-// benchmarks report vectorized / row-stream / reference triples. Plan
-// selection is identical in all modes.
+// tests run the full corpus and a randomized query generator through the
+// batch pipeline (plain and instrumented), the morsel-parallel exchange
+// and the reference executor, and assert identical row multisets
+// (sequences, under ORDER BY); the engine benchmarks report
+// vectorized / reference pairs. Plan selection is identical in all modes.
 package engine

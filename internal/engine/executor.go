@@ -11,8 +11,8 @@ import (
 
 // execNode materializes the rows produced by a plan node. This is the
 // reference executor: every operator fully materializes its output. The
-// streaming iterator executor in iter.go is the default query path
-// (see Config.ReferenceExec); this path is retained as the semantic
+// batch executor in vec.go is the default query path (see
+// Config.ReferenceExec); this path is retained as the semantic
 // oracle for the differential tests and as the "full materialization"
 // baseline in the engine benchmarks.
 func (e *Engine) execNode(n *Node) ([]storage.Row, error) {
@@ -715,7 +715,7 @@ func accumulate(ctx *evalCtx, st *aggState, call *sqlparser.FuncCall) error {
 }
 
 // accumulateDatum folds one evaluated argument into an aggregate state;
-// shared by the reference and streaming executors.
+// shared by the reference and batch executors.
 func accumulateDatum(st *aggState, v datum.D) error {
 	if v.IsNull() {
 		return nil

@@ -1,6 +1,6 @@
 package engine
 
-// Tests for streaming-executor behavior that the differential tests cannot
+// Tests for executor behavior that the differential tests cannot
 // express: LIMIT/OFFSET edge-case semantics, proof that Limit actually
 // short-circuits its subtree, top-K equivalence with a stable sort, and
 // the top-K heap in isolation.
@@ -8,6 +8,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lantern/internal/datum"
@@ -107,45 +108,65 @@ func TestTopKStableWithDuplicateKeys(t *testing.T) {
 }
 
 // TestLimitShortCircuitsScan proves the streaming claim directly: LIMIT 3
-// over a sequential scan pulls exactly 3 rows from the heap, not all 20.
+// over a 1000-row sequential scan pulls one initialChunkSize chunk from
+// the heap, not the whole table. It also pins what the instrumented
+// actuals report under a LIMIT: the scan counts the whole chunk it
+// emitted (64 rows), the Limit the 3 rows it passed on, and every
+// operator runs exactly one loop.
 func TestLimitShortCircuitsScan(t *testing.T) {
-	e := testDB(t, DefaultConfig())
-	plan, err := e.PlanSQL("SELECT c_name FROM customer LIMIT 3")
+	e := New(DefaultConfig())
+	mustExec(t, e, "CREATE TABLE big (id INT)")
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO big VALUES ")
+	for i := 0; i < 1000; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d)", i)
+	}
+	mustExec(t, e, sb.String())
+	plan, err := e.PlanSQL("SELECT id FROM big LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := e.buildIter(plan)
+	it, err := e.buildVec(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	if err := it.Open(); err != nil {
+	rows, err := drain(it)
+	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
+	if len(rows) != 3 {
+		t.Fatalf("drained %d rows, want 3", len(rows))
 	}
-	if n != 3 {
-		t.Fatalf("drained %d rows, want 3", n)
-	}
-	lim, ok := it.(*limitIter)
+	lim, ok := it.(*limitVec)
 	if !ok {
-		t.Fatalf("plan root iterator is %T, want *limitIter", it)
+		t.Fatalf("plan root iterator is %T, want *limitVec", it)
 	}
-	scan, ok := lim.child.(*seqScanIter)
+	scan, ok := lim.child.(*seqScanVec)
 	if !ok {
-		t.Fatalf("limit child is %T, want *seqScanIter", lim.child)
+		t.Fatalf("limit child is %T, want *seqScanVec", lim.child)
 	}
-	if scan.pos != 3 {
-		t.Fatalf("seq scan pulled %d heap rows, want 3 (short-circuit broken)", scan.pos)
+	if scan.pos != initialChunkSize {
+		t.Fatalf("seq scan pulled %d heap rows, want one %d-row chunk (short-circuit broken)", scan.pos, initialChunkSize)
+	}
+
+	_, st, err := e.ExecPlanInstrumented(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st[plan].Rows; got != 3 {
+		t.Errorf("Limit actual rows = %d, want 3", got)
+	}
+	if got := st[plan.Children[0]].Rows; got != initialChunkSize {
+		t.Errorf("scan actual rows under LIMIT 3 = %d, want the %d-row first chunk", got, initialChunkSize)
+	}
+	for n, os := range st {
+		if os.Loops != 1 {
+			t.Errorf("%s loops = %d, want 1", n.Op.Name(), os.Loops)
+		}
 	}
 }
 

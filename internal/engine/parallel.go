@@ -433,56 +433,13 @@ func (it *morselScanVec) Close() error {
 	return nil
 }
 
-// --- Vectorized instrumentation wrapper -------------------------------------
-
-// instrVecIter counts rows and inclusive wall time through one vectorized
-// operator. The counters are atomic because in a parallel region one
-// OpStats instance is shared by every worker's clone of the operator, so
-// totals sum across workers. Loops are deliberately not counted here —
-// per-morsel re-Opens are a scheduling detail, not EXPLAIN loops; the
-// instrumented runner sets Loops to 1 afterwards.
-type instrVecIter struct {
-	child vecIter
-	rows  *int64
-	nanos *int64
-}
-
-func (it *instrVecIter) Open() error {
-	start := time.Now()
-	err := it.child.Open()
-	atomic.AddInt64(it.nanos, int64(time.Since(start)))
-	return err
-}
-
-func (it *instrVecIter) NextBatch() ([]storage.Row, error) {
-	start := time.Now()
-	b, err := it.child.NextBatch()
-	atomic.AddInt64(it.nanos, int64(time.Since(start)))
-	if len(b) > 0 {
-		atomic.AddInt64(it.rows, int64(len(b)))
-	}
-	return b, err
-}
-
-func (it *instrVecIter) Close() error { return it.child.Close() }
-
-func (v *vbuild) instr(n *Node, it vecIter) vecIter {
-	if v.stats == nil {
-		return it
-	}
-	os := v.stats(n)
-	return &instrVecIter{child: it, rows: &os.Rows, nanos: (*int64)(&os.Time)}
-}
-
 // --- Exchange ---------------------------------------------------------------
 
 // hashShared is one prebuilt hash-join build side, shared read-only by
 // every worker's probe clone.
 type hashShared struct {
-	node     *Node // the OpHashJoin node this build belongs to
-	entries  []storage.Row
-	keyArena []datum.D
-	table    map[uint64][]int32
+	node *Node // the OpHashJoin node this build belongs to
+	hashTable
 }
 
 // parWorker is one worker's private pipeline clone plus its per-run
@@ -494,13 +451,10 @@ type parWorker struct {
 	root vecIter
 	scan *morselScanVec
 
-	// Sort merge: per-worker key evaluation state.
-	sortKeyOrds []int
-	sortKeys    []boundExpr
-
-	// Aggregation merge: per-worker accumulator construction state.
-	aggGroupKeys []boundExpr
-	aggArgs      []boundExpr
+	// Merge-kind state bound per worker: sort keys, or the partial
+	// aggregate accumulator.
+	sortKeys rowKeys
+	agg      *aggAcc
 
 	rows  int64 // rows this worker's subtree emitted
 	nanos int64 // busy wall time
@@ -523,7 +477,7 @@ type workerRun struct {
 	keys []datum.D
 	seqs []int64
 	// Agg: partial groups in worker-local first-arrival order.
-	groups []*parGroup
+	groups []*aggGroup
 }
 
 // exchangeVec is the one merge point of a parallel plan. Open prepares
@@ -546,7 +500,6 @@ type exchangeVec struct {
 	sortN    int
 	topK     int64
 
-	aggs     []aggSpec
 	plainAgg bool
 	having   boundExpr
 
@@ -565,8 +518,7 @@ type exchangeVec struct {
 	curPos  int
 
 	// Sort/agg merges materialize like their serial counterparts.
-	out    []storage.Row
-	outPos int
+	out rowCursor
 }
 
 func (v *vbuild) newExchangeVec(n *Node) (*exchangeVec, error) {
@@ -581,13 +533,10 @@ func (v *vbuild) newExchangeVec(n *Node) (*exchangeVec, error) {
 			x.sortDesc[i] = k.Desc
 		}
 	case parAgg:
-		x.aggs = n.Aggs
 		x.plainAgg = len(n.GroupKeys) == 0
-		if n.HavingFilter != nil {
-			var err error
-			if x.having, err = bindExpr(n.HavingFilter, n.Schema, v.e.subquery); err != nil {
-				return nil, err
-			}
+		var err error
+		if x.having, err = v.e.bindHaving(n); err != nil {
+			return nil, err
 		}
 	}
 	workRoot := workerRootNode(sh, n)
@@ -677,37 +626,20 @@ func (x *exchangeVec) sharedFor(n *Node) *hashShared {
 }
 
 // bindWorkerMerge prepares the per-worker expression state the merge kind
-// needs (sort keys, aggregate group keys and arguments).
+// needs (sort keys, or the partial aggregate accumulator).
 func (x *exchangeVec) bindWorkerMerge(v *vbuild, n *Node, w *parWorker) error {
 	var err error
 	switch x.sh.kind {
 	case parSort:
-		childSchema := n.Children[0].Schema
 		exprs := make([]sqlparser.Expr, len(n.SortKeys))
 		for i, k := range n.SortKeys {
 			exprs[i] = k.Expr
 		}
-		if w.sortKeyOrds = keyOrdinals(exprs, childSchema); w.sortKeyOrds == nil {
-			if w.sortKeys, err = bindExprs(exprs, childSchema, v.e.subquery); err != nil {
-				return err
-			}
-		}
+		w.sortKeys, err = bindRowKeys(exprs, n.Children[0].Schema, v.e.subquery)
 	case parAgg:
-		childSchema := n.Children[0].Schema
-		if w.aggGroupKeys, err = bindExprs(n.GroupKeys, childSchema, v.e.subquery); err != nil {
-			return err
-		}
-		w.aggArgs = make([]boundExpr, len(n.Aggs))
-		for i, a := range n.Aggs {
-			if a.Call.Star {
-				continue
-			}
-			if w.aggArgs[i], err = bindExpr(a.Call.Args[0], childSchema, v.e.subquery); err != nil {
-				return err
-			}
-		}
+		w.agg, err = v.e.newAggAcc(n, true)
 	}
-	return nil
+	return err
 }
 
 func (x *exchangeVec) Open() error {
@@ -731,7 +663,7 @@ func (x *exchangeVec) Open() error {
 	x.err = nil
 	x.pending = make(map[int][]storage.Row)
 	x.nextM, x.cur, x.curPos = 0, nil, 0
-	x.out, x.outPos = nil, 0
+	x.out.set(nil)
 	x.running = true
 	x.wg.Add(len(x.workers))
 	for _, w := range x.workers {
@@ -880,7 +812,7 @@ func (x *exchangeVec) runSort(w *parWorker) {
 		within := int64(0)
 		err := w.drainMorsel(mo, func(b []storage.Row) error {
 			for _, r := range b {
-				if err := x.evalSortKeys(w, r, scratch, &env); err != nil {
+				if err := w.sortKeys.eval(r, scratch, &env); err != nil {
 					return err
 				}
 				seq := int64(m)*seqStride + within
@@ -909,24 +841,6 @@ func (x *exchangeVec) runSort(w *parWorker) {
 		sortRunBySeqKeys(run, x.sortN, x.sortDesc)
 	}
 	x.send(morselOut{m: -1, run: run})
-}
-
-func (x *exchangeVec) evalSortKeys(w *parWorker, r storage.Row, dst []datum.D, env *rowEnv) error {
-	if w.sortKeyOrds != nil {
-		for i, ord := range w.sortKeyOrds {
-			dst[i] = r[ord]
-		}
-		return nil
-	}
-	env.left = r
-	for i, k := range w.sortKeys {
-		v, err := k(env)
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
-	return nil
 }
 
 // sortRunBySeqKeys sorts a full-sort run by (keys, seq) in place.
@@ -960,7 +874,8 @@ func sortRunBySeqKeys(run *workerRun, nKeys int, desc []bool) {
 }
 
 func (x *exchangeVec) runAgg(w *parWorker) {
-	acc := newParAggAcc(x.aggs, len(w.aggGroupKeys))
+	acc := w.agg
+	acc.reset()
 	var env rowEnv
 	for {
 		m, mo, ok := x.disp.grab()
@@ -972,7 +887,7 @@ func (x *exchangeVec) runAgg(w *parWorker) {
 			for _, r := range b {
 				seq := int64(m)*seqStride + within
 				within++
-				if err := acc.add(w, r, seq, &env); err != nil {
+				if err := acc.add(r, seq, &env); err != nil {
 					return err
 				}
 			}
@@ -996,16 +911,7 @@ func (x *exchangeVec) NextBatch() ([]storage.Row, error) {
 		return nil, x.err
 	}
 	if x.sh.kind != parGather {
-		if x.outPos >= len(x.out) {
-			return nil, nil
-		}
-		end := x.outPos + batchSize
-		if end > len(x.out) {
-			end = len(x.out)
-		}
-		b := x.out[x.outPos:end]
-		x.outPos = end
-		return b, nil
+		return x.out.next(), nil
 	}
 	for {
 		if x.curPos < len(x.cur) {
@@ -1056,7 +962,7 @@ func (x *exchangeVec) collectRuns() error {
 	}
 	x.finish()
 	if x.sh.kind == parSort {
-		x.out = mergeSortRuns(runs, x.sortN, x.sortDesc, x.topK)
+		x.out.set(mergeSortRuns(runs, x.sortN, x.sortDesc, x.topK))
 		return nil
 	}
 	out, err := x.mergeAggRuns(runs)
@@ -1064,7 +970,7 @@ func (x *exchangeVec) collectRuns() error {
 		x.err = err
 		return err
 	}
-	x.out = out
+	x.out.set(out)
 	return nil
 }
 
@@ -1119,19 +1025,13 @@ func runBefore(a *workerRun, ai int, b *workerRun, bi int, nKeys int, desc []boo
 // first arrival (the serial aggregate's insertion order), finalizes, and
 // applies HAVING.
 func (x *exchangeVec) mergeAggRuns(runs []*workerRun) ([]storage.Row, error) {
-	idx := make(map[string]int)
-	var groups []*parGroup
-	keyBuf := make([]byte, 0, 64)
+	acc := x.workers[0].agg
+	keys := newGroupKeyer(nil)
+	var groups []*aggGroup
 	for _, run := range runs {
 		for _, g := range run.groups {
-			keyBuf = keyBuf[:0]
-			for _, v := range g.keyVals {
-				keyBuf = v.AppendKey(keyBuf)
-				keyBuf = append(keyBuf, 0)
-			}
-			gi, ok := idx[string(keyBuf)]
-			if !ok {
-				idx[string(keyBuf)] = len(groups)
+			gi, isNew := keys.lookup(g.keyVals)
+			if isNew {
 				groups = append(groups, g)
 				continue
 			}
@@ -1141,182 +1041,7 @@ func (x *exchangeVec) mergeAggRuns(runs []*workerRun) ([]storage.Row, error) {
 		}
 	}
 	sort.Slice(groups, func(a, b int) bool { return groups[a].firstSeq < groups[b].firstSeq })
-	if x.plainAgg && len(groups) == 0 {
-		groups = append(groups, newParGroup(nil, x.aggs, 0))
-	}
-	var env rowEnv
-	out := make([]storage.Row, 0, len(groups))
-	for _, g := range groups {
-		row := make(storage.Row, 0, len(g.keyVals)+len(g.states))
-		row = append(row, g.keyVals...)
-		for i, a := range x.aggs {
-			row = append(row, g.states[i].finalize(a.Call))
-		}
-		if x.having != nil {
-			env.left = row
-			v, err := x.having(&env)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// --- Partial aggregation ----------------------------------------------------
-
-// parAggState is one mergeable partial aggregate. DISTINCT aggregates
-// defer accumulation entirely: workers collect the distinct value set and
-// the merged set is folded at finalize, so cross-worker duplicates are
-// deduplicated exactly once.
-type parAggState struct {
-	st    aggState
-	dvals map[string]datum.D
-}
-
-func (s *parAggState) accumulate(v datum.D) error {
-	if v.IsNull() {
-		return nil
-	}
-	if s.dvals != nil {
-		s.dvals[v.String()] = v
-		return nil
-	}
-	return accumulateDatum(&s.st, v)
-}
-
-func (s *parAggState) merge(o *parAggState) error {
-	if s.dvals != nil {
-		for k, v := range o.dvals {
-			s.dvals[k] = v
-		}
-		return nil
-	}
-	s.st.count += o.st.count
-	if !o.st.sum.IsNull() {
-		if s.st.sum.IsNull() {
-			s.st.sum = o.st.sum
-		} else {
-			sum, err := datum.Arith('+', s.st.sum, o.st.sum)
-			if err != nil {
-				return err
-			}
-			s.st.sum = sum
-		}
-	}
-	if !o.st.min.IsNull() && (s.st.min.IsNull() || datum.Compare(o.st.min, s.st.min) < 0) {
-		s.st.min = o.st.min
-	}
-	if !o.st.max.IsNull() && (s.st.max.IsNull() || datum.Compare(o.st.max, s.st.max) > 0) {
-		s.st.max = o.st.max
-	}
-	return nil
-}
-
-func (s *parAggState) finalize(call *sqlparser.FuncCall) datum.D {
-	if s.dvals != nil {
-		keys := make([]string, 0, len(s.dvals))
-		for k := range s.dvals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		st := newAggState(call)
-		for _, k := range keys {
-			accumulateDatum(&st, s.dvals[k])
-		}
-		return finalize(&st, call)
-	}
-	return finalize(&s.st, call)
-}
-
-// parGroup is one group's partial states plus the serial sequence of its
-// first input row — the merge orders groups by the minimum across workers,
-// which is the group's first appearance in the serial input.
-type parGroup struct {
-	keyVals  []datum.D
-	states   []parAggState
-	firstSeq int64
-}
-
-func newParGroup(keyVals []datum.D, aggs []aggSpec, firstSeq int64) *parGroup {
-	g := &parGroup{keyVals: keyVals, states: make([]parAggState, len(aggs)), firstSeq: firstSeq}
-	for i := range g.states {
-		g.states[i].st = newAggState(aggs[i].Call)
-		if aggs[i].Call.Distinct {
-			g.states[i].dvals = make(map[string]datum.D)
-		}
-	}
-	return g
-}
-
-func (g *parGroup) merge(o *parGroup) error {
-	if o.firstSeq < g.firstSeq {
-		g.firstSeq = o.firstSeq
-	}
-	for i := range g.states {
-		if err := g.states[i].merge(&o.states[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parAggAcc accumulates one worker's partial groups, keyed exactly like
-// the serial aggIter (AppendKey encoding).
-type parAggAcc struct {
-	aggs       []aggSpec
-	idx        map[string]int
-	groups     []*parGroup
-	keyBuf     []byte
-	keyScratch []datum.D
-}
-
-func newParAggAcc(aggs []aggSpec, nKeys int) *parAggAcc {
-	return &parAggAcc{
-		aggs:       aggs,
-		idx:        make(map[string]int),
-		keyBuf:     make([]byte, 0, 64),
-		keyScratch: make([]datum.D, nKeys),
-	}
-}
-
-func (a *parAggAcc) add(w *parWorker, r storage.Row, seq int64, env *rowEnv) error {
-	env.left = r
-	a.keyBuf = a.keyBuf[:0]
-	for i, k := range w.aggGroupKeys {
-		v, err := k(env)
-		if err != nil {
-			return err
-		}
-		a.keyScratch[i] = v
-		a.keyBuf = v.AppendKey(a.keyBuf)
-		a.keyBuf = append(a.keyBuf, 0)
-	}
-	gi, ok := a.idx[string(a.keyBuf)]
-	if !ok {
-		gi = len(a.groups)
-		a.idx[string(a.keyBuf)] = gi
-		a.groups = append(a.groups, newParGroup(append([]datum.D(nil), a.keyScratch...), a.aggs, seq))
-	}
-	g := a.groups[gi]
-	for i, spec := range a.aggs {
-		if spec.Call.Star {
-			g.states[i].st.count++
-			continue
-		}
-		v, err := w.aggArgs[i](env)
-		if err != nil {
-			return err
-		}
-		if err := g.states[i].accumulate(v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return acc.finalizeGroups(groups, x.plainAgg, x.having)
 }
 
 // --- Shared hash builds -----------------------------------------------------
@@ -1342,10 +1067,7 @@ func (x *exchangeVec) buildShared(s *hashShared) error {
 	if err != nil {
 		return err
 	}
-	s.entries = s.entries[:0]
-	s.keyArena = s.keyArena[:0]
-	s.table = make(map[uint64][]int32)
-
+	s.reset()
 	if scanNode := plainBuildScan(n.Children[1]); scanNode != nil {
 		t, err := x.e.Cat.Table(scanNode.Relation)
 		if err != nil {
@@ -1385,29 +1107,7 @@ func (x *exchangeVec) buildSharedSerial(s *hashShared, shell *hashJoinVec, n *No
 	if err := src.Open(); err != nil {
 		return err
 	}
-	var env rowEnv
-	keyBuf := make([]datum.D, shell.nKeys)
-	for {
-		b, err := src.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		for _, r := range b {
-			h, null, err := hashRowKeys(r, shell.buildKeyOrds, shell.buildKeys, keyBuf, &env)
-			if err != nil {
-				return err
-			}
-			if null {
-				continue
-			}
-			s.keyArena = append(s.keyArena, keyBuf[:shell.nKeys]...)
-			s.table[h] = append(s.table[h], int32(len(s.entries)))
-			s.entries = append(s.entries, r)
-		}
-	}
+	return s.drain(src, &shell.buildKeys)
 }
 
 // buildPart is one goroutine's hashed morsel partition.
@@ -1449,8 +1149,8 @@ func (x *exchangeVec) buildSharedParallel(s *hashShared, shell *hashJoinVec, n, 
 			defer scan.Close() // unpin the last-held segment payload
 			var env rowEnv
 			keyBuf := make([]datum.D, shell.nKeys)
-			var keys []boundExpr
-			if shell.buildKeyOrds == nil {
+			keys := shell.buildKeys
+			if keys.ords == nil {
 				var err error
 				if keys, err = x.rebindBuildKeys(n); err != nil {
 					parts <- &buildPart{m: -1, err: err}
@@ -1479,7 +1179,7 @@ func (x *exchangeVec) buildSharedParallel(s *hashShared, shell *hashJoinVec, n, 
 					}
 					p.scanned += int64(len(b))
 					for _, r := range b {
-						h, null, err := hashRowKeys(r, shell.buildKeyOrds, keys, keyBuf, &env)
+						h, null, err := hashRowKeys(r, &keys, keyBuf, &env)
 						if err != nil {
 							parts <- &buildPart{m: -1, err: err}
 							return
@@ -1521,9 +1221,7 @@ func (x *exchangeVec) buildSharedParallel(s *hashShared, shell *hashJoinVec, n, 
 			next++
 			scanned += q.scanned
 			for i, r := range q.rows {
-				s.keyArena = append(s.keyArena, q.keys[i*shell.nKeys:(i+1)*shell.nKeys]...)
-				s.table[q.hashes[i]] = append(s.table[q.hashes[i]], int32(len(s.entries)))
-				s.entries = append(s.entries, r)
+				s.insert(q.hashes[i], r, q.keys[i*shell.nKeys:(i+1)*shell.nKeys])
 			}
 		}
 	}
@@ -1545,8 +1243,8 @@ func (x *exchangeVec) buildSharedParallel(s *hashShared, shell *hashJoinVec, n, 
 
 // rebindBuildKeys produces fresh build-key closures for one build
 // goroutine (closure state must not be shared).
-func (x *exchangeVec) rebindBuildKeys(n *Node) ([]boundExpr, error) {
+func (x *exchangeVec) rebindBuildKeys(n *Node) (rowKeys, error) {
 	probeNode, hashNode := n.Children[0], n.Children[1]
 	_, buildKeyExprs, _ := joinKeyPairs(n.JoinCond, probeNode.Schema)
-	return bindExprs(buildKeyExprs, hashNode.Schema, x.e.subquery)
+	return bindRowKeys(buildKeyExprs, hashNode.Schema, x.e.subquery)
 }

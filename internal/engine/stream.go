@@ -1,9 +1,10 @@
 package engine
 
 // stream.go is the incremental counterpart of QueryInstrumented: the same
-// parse→plan→instrumented-execute→project loop, but handing rows to the
-// caller as the iterator pipeline produces them instead of materializing
-// the whole result first. The serving layer's /v2/query?stream=ndjson path
+// parse→plan→instrumented-execute→project loop over the same instrumented
+// batch pipeline, but handing rows to the caller one at a time, batch by
+// batch as the pipeline produces them, instead of materializing the whole
+// result first. The serving layer's /v2/query?stream=ndjson path
 // rides this — a client sees the first row while the scan is still
 // running, and the narration (which needs the complete actuals) arrives as
 // a trailer after the last row.
@@ -27,7 +28,7 @@ var ErrAbandonedStream = errors.New("engine: streaming query abandoned before en
 
 // StreamingQuery is one open, instrumented SELECT execution. Rows are
 // pulled with Next; after Next reports exhaustion, Finish returns the plan
-// with its collected actuals. Close releases the iterator pipeline and is
+// with its collected actuals. Close releases the batch pipeline and is
 // safe to call at any point (including mid-stream abandonment) — but the
 // collected statistics are exact only when Complete reports true.
 type StreamingQuery struct {
@@ -35,7 +36,9 @@ type StreamingQuery struct {
 	Columns []string
 
 	e        *Engine
-	it       rowIter
+	it       vecIter
+	batch    []storage.Row // current batch; valid until the next NextBatch
+	pos      int           // next row within batch
 	pr       *projector
 	plan     *Node
 	stats    ExecStats
@@ -48,7 +51,7 @@ type StreamingQuery struct {
 }
 
 // QueryStreamInstrumented parses and plans a SELECT, opens its
-// instrumented iterator pipeline, and returns the live stream. The
+// instrumented batch pipeline, and returns the live stream. The
 // engine session must stay checked out until Close.
 func (e *Engine) QueryStreamInstrumented(sql string) (*StreamingQuery, error) {
 	sel, err := sqlparser.ParseSelect(sql)
@@ -64,29 +67,9 @@ func (e *Engine) QueryStreamInstrumented(sql string) (*StreamingQuery, error) {
 		return nil, err
 	}
 	st := make(ExecStats)
-	var it rowIter
-	if sh := e.activeParShape(pl); sh != nil {
-		// Parallel plan: run the vectorized exchange pipeline (with atomic
-		// per-operator instrumentation) and stream rows off it through the
-		// vecToRow adapter. Close cancels and drains the workers.
-		vi, verr := e.newVBuild(sh, st.get).build(pl)
-		if verr != nil {
-			return nil, verr
-		}
-		it = &vecToRow{child: vi}
-	} else {
-		b := &ibuild{e: e, wrap: func(pn *Node, it rowIter) rowIter {
-			os := st[pn]
-			if os == nil {
-				os = &OpStats{}
-				st[pn] = os
-			}
-			return &instrIter{child: it, st: os}
-		}}
-		it, err = b.build(pl)
-		if err != nil {
-			return nil, err
-		}
+	it, err := e.buildInstrumented(pl, st)
+	if err != nil {
+		return nil, err
 	}
 	q := &StreamingQuery{
 		e:       e,
@@ -116,19 +99,24 @@ func (q *StreamingQuery) Next() (storage.Row, bool, error) {
 		}
 		return nil, false, ErrAbandonedStream
 	}
-	r, ok, err := q.it.Next()
-	if err != nil {
-		q.done = true
-		q.elapsed = time.Since(q.started)
-		return nil, false, err
+	for q.pos >= len(q.batch) {
+		b, err := q.it.NextBatch()
+		if err != nil {
+			q.done = true
+			q.elapsed = time.Since(q.started)
+			return nil, false, err
+		}
+		if b == nil {
+			q.done = true
+			q.complete = true
+			q.elapsed = time.Since(q.started)
+			q.e.annotateWorkerStats(q.plan, q.stats)
+			return nil, false, nil
+		}
+		q.batch, q.pos = b, 0
 	}
-	if !ok {
-		q.done = true
-		q.complete = true
-		q.elapsed = time.Since(q.started)
-		q.e.annotateWorkerStats(q.plan, q.stats)
-		return nil, false, nil
-	}
+	r := q.batch[q.pos]
+	q.pos++
 	out, err := q.pr.project(r)
 	if err != nil {
 		q.done = true
@@ -165,7 +153,7 @@ func (q *StreamingQuery) Complete() bool { return q.complete }
 // the consumer.
 func (q *StreamingQuery) Finish() (*Node, ExecStats) { return q.plan, q.stats }
 
-// Close releases the iterator pipeline. Idempotent.
+// Close releases the batch pipeline. Idempotent.
 func (q *StreamingQuery) Close() error {
 	if q.closed {
 		return nil

@@ -1,12 +1,15 @@
 package engine
 
-// vec.go is the batch-at-a-time (vectorized) executor. Operators implement
-// vecIter and hand rows downstream in batches of up to batchSize, so the
-// per-row costs of the streaming executor — an interface call per Next, a
-// closure call per filter evaluation, an allocation per joined or projected
-// row — are amortized across the batch: scans filter through tight typed
-// loops (vexpr.go), joins and projection pack their output rows into flat
-// per-batch datum arenas, and top-K keys load by ordinal.
+// vec.go is the batch-at-a-time (vectorized) executor — the engine's one
+// production executor. Operators implement vecIter and hand rows
+// downstream in batches of up to batchSize, so per-row costs (an interface
+// call per row, a closure call per filter evaluation, an allocation per
+// joined or projected row) are amortized across the batch: scans filter
+// through tight typed loops (vexpr.go), joins and projection pack their
+// output rows into flat per-batch datum arenas, and sort keys load by
+// ordinal. This file holds the builder, the output writer, scans and
+// limit; vecjoin.go, vecsort.go and vecagg.go hold the remaining
+// operators, and parallel.go the morsel exchange.
 //
 // Batch memory contract:
 //   - A batch (the []storage.Row slice) is valid only until the consumer's
@@ -20,19 +23,13 @@ package engine
 //   - Batches are never empty: producers either return >= 1 row or nil for
 //     end-of-stream.
 //
-// The row-at-a-time pipeline (iter.go) is retained in full: vecToRow
-// adapts any vecIter back to the rowIter contract, which keeps operators
-// without a native batch implementation (aggregation, unique, merge join,
-// nested loop, result) working unchanged over vectorized children, and
-// Config.RowStreamExec forces whole queries onto the row pipeline — the
-// differential tests pin vectorized results equal to both the row-stream
-// and the materializing reference executors. Instrumented execution
-// (bridge.go, EXPLAIN ANALYZE, the streaming query API) uses the row
-// pipeline for serial plans so per-operator actual rows/loops stay
-// exact; parallel plans stay on the batch pipeline with atomic
-// batch-granular counters (parallel.go), since per-row wrapping would
-// serialize the workers. The uninstrumented batch path is the fast path
-// that Exec and subqueries take.
+// Every execution runs this pipeline: Exec and subqueries uninstrumented,
+// and the instrumented runs (ExecPlanInstrumented, QueryInstrumented, the
+// streaming query API, EXPLAIN ANALYZE) with each operator wrapped in an
+// instrVecIter (bridge.go). The materializing executor in executor.go is
+// kept only as the semantic oracle (Config.ReferenceExec); the
+// differential tests pin this pipeline, instrumented and not, serial and
+// morsel-parallel, equal to it.
 
 import (
 	"fmt"
@@ -57,39 +54,23 @@ type vecIter interface {
 	Close() error
 }
 
-// buildVec constructs the vectorized iterator tree for a plan node.
-// Operators without a native batch implementation are built through the
-// row-op constructors (iter.go) with their children vectorized and adapted
-// back to rows, so every plan the planner can produce executes. Plans the
-// planner marked parallel (driver DOP >= 2) get an exchangeVec at the
-// exchange point (parallel.go).
+// buildVec constructs the uninstrumented vectorized iterator tree for a
+// plan node. Plans the planner marked parallel (driver DOP >= 2) get an
+// exchangeVec at the exchange point (parallel.go).
 func (e *Engine) buildVec(n *Node) (vecIter, error) {
 	return e.newVBuild(e.activeParShape(n), nil).build(n)
 }
 
-// newVBuild assembles a vbuild with its row-op builder wired back through
-// the batch adapter. sh activates the parallel exchange; stats, when
-// non-nil, wraps every built operator in an instrVecIter sharing the
-// returned OpStats (bridge.go's vectorized instrumentation).
+// newVBuild returns a builder. sh activates the parallel exchange; stats,
+// when non-nil, wraps every built operator in an instrVecIter sharing the
+// returned OpStats (bridge.go).
 func (e *Engine) newVBuild(sh *parShape, stats func(*Node) *OpStats) *vbuild {
-	rb := &ibuild{e: e, stats: stats}
-	v := &vbuild{e: e, rb: rb, par: sh, stats: stats}
-	rb.child = func(c *Node) (rowIter, error) {
-		vi, err := v.build(c)
-		if err != nil {
-			return nil, err
-		}
-		return &vecToRow{child: vi}, nil
-	}
-	return v
+	return &vbuild{e: e, par: sh, stats: stats}
 }
 
-// vbuild constructs vecIter trees. rb is the row-op builder with its child
-// hook pointed back at vbuild, so a row-only operator embedded in a batch
-// pipeline pulls from vectorized children through the adapter.
+// vbuild constructs vecIter trees.
 type vbuild struct {
-	e  *Engine
-	rb *ibuild
+	e *Engine
 	// par, when non-nil, is the active parallel shape: building par.exchange
 	// produces the exchange operator instead of the serial one.
 	par *parShape
@@ -99,14 +80,15 @@ type vbuild struct {
 }
 
 func (v *vbuild) build(n *Node) (vecIter, error) {
+	var (
+		it  vecIter
+		err error
+	)
 	if v.par != nil && n == v.par.exchange {
-		x, err := v.newExchangeVec(n)
-		if err != nil {
-			return nil, err
-		}
-		return v.instr(n, x), nil
+		it, err = v.newExchangeVec(n)
+	} else {
+		it, err = v.build0(n)
 	}
-	it, err := v.build0(n)
 	if err != nil {
 		return nil, err
 	}
@@ -120,103 +102,83 @@ func (v *vbuild) build0(n *Node) (vecIter, error) {
 	case OpIndexScan:
 		return v.newIndexScanVec(n)
 	case OpHash, OpMaterialize:
+		// Pass-through operators reuse the child iterator; under
+		// instrumentation they still get their own wrapper, so Hash nodes
+		// report the build-side row count just like PostgreSQL's ANALYZE.
 		return v.build(n.Children[0])
 	case OpHashJoin:
 		return v.newHashJoinVec(n)
+	case OpMergeJoin:
+		return v.newMergeJoinVec(n)
+	case OpNestedLoop:
+		return v.newNestedLoopVec(n)
 	case OpSort:
 		return v.newSortVec(n)
+	case OpAggregate, OpHashAggregate, OpGroupAggregate:
+		return v.newAggVec(n)
+	case OpUnique:
+		return v.newUniqueVec(n)
 	case OpLimit:
 		child, err := v.build(n.Children[0])
 		if err != nil {
 			return nil, err
 		}
 		return &limitVec{child: child, limit: n.Limit, offset: n.Offset}, nil
+	case OpResult:
+		return v.newResultVec(n)
 	}
-	// Row-only operator: build it through iter.go with vectorized children.
-	it, err := v.rb.buildOp(n)
-	if err != nil {
+	return nil, fmt.Errorf("engine: cannot execute operator %s", n.Op.Name())
+}
+
+// drain opens it and collects every row it produces. The caller closes it.
+func drain(it vecIter) ([]storage.Row, error) {
+	if err := it.Open(); err != nil {
 		return nil, err
 	}
-	return &rowToVec{child: it}, nil
-}
-
-// --- Adapters ---------------------------------------------------------------
-
-// vecToRow adapts a vecIter to the rowIter contract: the thin row-at-a-time
-// Next over batches that keeps row-only operators and the differential
-// oracle working on top of vectorized children. Handed-out rows stay valid
-// across batches (row data is immortal); only the batch slice is replaced.
-type vecToRow struct {
-	child vecIter
-	batch []storage.Row
-	pos   int
-}
-
-func (it *vecToRow) Open() error {
-	it.batch, it.pos = nil, 0
-	return it.child.Open()
-}
-
-func (it *vecToRow) Next() (storage.Row, bool, error) {
-	for it.pos >= len(it.batch) {
-		b, err := it.child.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return nil, false, nil
-		}
-		it.batch, it.pos = b, 0
-	}
-	r := it.batch[it.pos]
-	it.pos++
-	return r, true, nil
-}
-
-func (it *vecToRow) Close() error { return it.child.Close() }
-
-// rowToVec adapts a rowIter to the vecIter contract by accumulating rows
-// into a reused batch buffer. Rows produced by row operators are already
-// retainable (they alias the heap or are freshly allocated), so only the
-// slice header is transient — exactly the batch contract.
-type rowToVec struct {
-	child rowIter
-	buf   []storage.Row
-}
-
-func (it *rowToVec) Open() error { return it.child.Open() }
-
-func (it *rowToVec) NextBatch() ([]storage.Row, error) {
-	if it.buf == nil {
-		it.buf = make([]storage.Row, 0, batchSize)
-	}
-	buf := it.buf[:0]
-	for len(buf) < batchSize {
-		r, ok, err := it.child.Next()
+	var out []storage.Row
+	for {
+		b, err := it.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
+		if b == nil {
+			return out, nil
 		}
-		buf = append(buf, r)
+		out = append(out, b...)
 	}
-	it.buf = buf
-	if len(buf) == 0 {
-		return nil, nil
-	}
-	return buf, nil
 }
 
-func (it *rowToVec) Close() error { return it.child.Close() }
+// rowCursor hands a materialized row slice downstream in batchSize chunks —
+// the emission side of every blocking operator (sort, aggregation, the
+// exchange's sort and aggregation merges).
+type rowCursor struct {
+	rows []storage.Row
+	pos  int
+}
+
+func (c *rowCursor) set(rows []storage.Row) { c.rows, c.pos = rows, 0 }
+
+func (c *rowCursor) next() []storage.Row {
+	if c.pos >= len(c.rows) {
+		return nil
+	}
+	end := c.pos + batchSize
+	if end > len(c.rows) {
+		end = len(c.rows)
+	}
+	b := c.rows[c.pos:end]
+	c.pos = end
+	return b
+}
 
 // --- Batch output writer ----------------------------------------------------
 
-// batchWriter packs freshly built output rows (joins, projection) into a
-// flat datum arena: one arena allocation per batch instead of one row
-// allocation per row. The arena is never reused — emitted rows are
-// three-index subslices of it and may be retained forever by consumers —
-// while the rows slice (headers only) is recycled across batches.
+// batchWriter packs freshly built output rows (joins, projection) into
+// flat datum arenas: one arena allocation per batch in the common case
+// instead of one row allocation per row. An arena is never reused or
+// regrown — emitted rows are three-index subslices of it and may be
+// retained forever by consumers — while the rows slice (headers only) is
+// recycled across batches.
 type batchWriter struct {
 	width int
 	hint  int // expected rows in the current batch; 0 or out of range → batchSize
@@ -237,14 +199,23 @@ func (w *batchWriter) reset() {
 	w.rows = w.rows[:0]
 }
 
-// appendConcat emits a+b as one packed output row. Growing the arena
-// mid-batch is safe: earlier rows keep pointing at the old backing array,
-// which is never written again (each row is capped at its own length).
+// appendConcat emits a+b as one packed output row. The first arena of a
+// batch is sized from the hint; when a batch outgrows its arena (a 1:N
+// join, or a probe batch smaller than the output batch) a fresh arena
+// twice the size takes over, capped at the rest of the batch. Regrowing
+// the old arena instead would copy the rows already emitted, and those
+// rows would keep the old array alive next to the copy.
 func (w *batchWriter) appendConcat(a, b storage.Row) {
-	if w.arena == nil {
+	if cap(w.arena)-len(w.arena) < w.width {
 		rows := w.hint
-		if rows <= 0 || rows > batchSize {
-			rows = batchSize
+		if w.arena != nil {
+			rows = 2 * cap(w.arena) / w.width
+		}
+		if rest := batchSize - len(w.rows); rows <= 0 || rows > rest {
+			rows = rest
+		}
+		if rows < 1 {
+			rows = 1
 		}
 		w.arena = make([]datum.D, 0, rows*w.width)
 	}
@@ -255,6 +226,14 @@ func (w *batchWriter) appendConcat(a, b storage.Row) {
 }
 
 func (w *batchWriter) full() bool { return len(w.rows) >= batchSize }
+
+// batch returns the rows written since reset, or nil when there are none.
+func (w *batchWriter) batch() []storage.Row {
+	if len(w.rows) == 0 {
+		return nil
+	}
+	return w.rows
+}
 
 // --- Scans ------------------------------------------------------------------
 
@@ -424,9 +403,9 @@ func (it *seqScanVec) Close() error {
 	return nil
 }
 
-// indexScanVec resolves the index at Open exactly like indexScanIter, then
-// gathers candidate rows per batch and rechecks the full index condition
-// plus residual filter through a compiled predicate. Index and row data
+// indexScanVec resolves the index at Open, then gathers candidate rows per
+// batch and rechecks the full index condition plus residual filter through
+// a compiled predicate. Index and row data
 // come from the same snapshot, so the gather is consistent under
 // concurrent DML.
 type indexScanVec struct {
@@ -444,8 +423,9 @@ func (v *vbuild) newIndexScanVec(n *Node) (*indexScanVec, error) {
 	if _, err := v.e.Cat.Table(n.Relation); err != nil {
 		return nil, err
 	}
-	// Same recheck expression as indexScanIter: full index condition plus
-	// residual filter.
+	// Re-check the full index condition alongside the residual filter
+	// (cheap, and keeps multi-conjunct conditions exact when the scan
+	// bounds only captured part of them), mirroring the reference executor.
 	combined := sqlparser.JoinConjuncts(append(sqlparser.SplitConjuncts(n.IndexCond), sqlparser.SplitConjuncts(n.Filter)...))
 	it := &indexScanVec{eng: v.e, n: n}
 	if combined != nil {
@@ -527,8 +507,8 @@ func (it *indexScanVec) Close() error { return nil }
 // limitVec implements LIMIT/OFFSET on batches by slicing: whole batches
 // inside the offset are skipped without touching their rows, and the final
 // batch is truncated to the remaining limit. Once the limit is reached the
-// child is never pulled again — the same short-circuit as limitIter.
-// limit < 0 means unbounded (OFFSET-only), matching the row pipeline.
+// child is never pulled again, short-circuiting the whole subtree below.
+// limit < 0 means unbounded (OFFSET-only).
 type limitVec struct {
 	child            vecIter
 	limit, offset    int64

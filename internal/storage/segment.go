@@ -72,29 +72,6 @@ type Segment struct {
 // NumRows returns the number of rows in the segment.
 func (s *Segment) NumRows() int { return s.nrows }
 
-// Rows returns the segment's row-major view, faulting a spilled payload
-// in (and panicking on a read error — use Load to handle errors). The
-// returned rows are immutable; callers may retain them indefinitely.
-func (s *Segment) Rows() []Row {
-	if s.src == nil {
-		return s.rows
-	}
-	d := s.mustLoad()
-	defer d.Release()
-	return d.rows
-}
-
-// Col returns the typed vector of column i, faulting a spilled payload
-// in (and panicking on a read error — use Load to handle errors).
-func (s *Segment) Col(i int) *ColVec {
-	if s.src == nil {
-		return &s.cols[i]
-	}
-	d := s.mustLoad()
-	defer d.Release()
-	return &d.cols[i]
-}
-
 // Zone returns the zone map of column i.
 func (s *Segment) Zone(i int) ZoneMap { return s.zones[i] }
 

@@ -94,17 +94,6 @@ func (s *Segment) Load() (*SegData, error) {
 	return &SegData{rows: p.rows, cols: p.cols, release: rel}, nil
 }
 
-// mustLoad is the panic-on-error fault used by the legacy accessors
-// (Segment.Rows, Segment.Col, Snapshot.Row); engine scan paths use Load
-// and propagate errors instead.
-func (s *Segment) mustLoad() *SegData {
-	d, err := s.Load()
-	if err != nil {
-		panic(fmt.Sprintf("storage: faulting segment: %v", err))
-	}
-	return d
-}
-
 // --- Image conversion -------------------------------------------------------
 
 // segmentToImage builds the codec image of a resident segment.

@@ -112,7 +112,7 @@ func TestSpillSealAndFault(t *testing.T) {
 	if rows[1][3].Bool() != (9%2 == 0) {
 		t.Fatal("bool value lost")
 	}
-	if got := snap.Row(13); got[0].Int() != 13 {
+	if got := fetchRow(t, snap, 13); got[0].Int() != 13 {
 		t.Fatalf("Row(13): %v", got)
 	}
 }
@@ -123,13 +123,13 @@ func TestReopenRecoversTable(t *testing.T) {
 	if err := tbl.CreateIndex("id"); err != nil {
 		t.Fatal(err)
 	}
-	want := tbl.AllRows()
+	want := allRows(t, tbl)
 
 	re, store2 := reopenItems(t, dir, pager.Config{})
 	if re.RowCount() != 20 {
 		t.Fatalf("recovered %d rows", re.RowCount())
 	}
-	got := re.AllRows()
+	got := allRows(t, re)
 	for i := range want {
 		for c := range want[i] {
 			if datum.Compare(want[i][c], got[i][c]) != 0 {
@@ -204,7 +204,7 @@ func TestStreamingDeleteAndUpdateOnDisk(t *testing.T) {
 		t.Fatalf("recovered %d rows", re.RowCount())
 	}
 	found := false
-	for _, r := range re.AllRows() {
+	for _, r := range allRows(t, re) {
 		if r[0].Int()%4 == 0 {
 			t.Fatalf("deleted row survived: %v", r)
 		}

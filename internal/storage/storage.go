@@ -164,17 +164,6 @@ func (s Snapshot) NumRows() int { return s.d.sealed + s.tailN }
 // SealedRows returns the number of rows held in sealed segments.
 func (s Snapshot) SealedRows() int { return s.d.sealed }
 
-// Row resolves a global row ordinal (index order: segments then tail),
-// faulting a spilled segment in and panicking on a read error; FetchRow
-// is the error-returning form the engine's scan paths use.
-func (s Snapshot) Row(i int) Row {
-	r, err := s.FetchRow(i)
-	if err != nil {
-		panic(fmt.Sprintf("storage: faulting row %d: %v", i, err))
-	}
-	return r
-}
-
 // FetchRow resolves a global row ordinal (index order: segments then
 // tail), faulting a spilled segment in through the buffer pool. The row
 // stays valid after the internal pin is released (the payload is GC-held
@@ -208,21 +197,10 @@ func segRowsOf(d *tableData) int {
 // Index returns the snapshot's index on col, or nil.
 func (s Snapshot) Index(col string) *Index { return s.d.indexes[col] }
 
-// AppendRows appends every row of the snapshot to dst in table order and
-// returns it, faulting spilled segments in (panicking on read errors).
-// This materializes the whole table; larger-than-memory paths should
-// iterate segments via Segment.Load instead.
-func (s Snapshot) AppendRows(dst []Row) []Row {
-	for _, seg := range s.d.segs {
-		dst = append(dst, seg.Rows()...)
-	}
-	return append(dst, s.Tail()...)
-}
-
-// FetchAll is the error-returning form of AppendRows: the whole snapshot
-// materialized in table order, with segment read failures surfaced as
-// errors rather than panics. Same caveat — this is the materialize-
-// everything path, not the streaming one.
+// FetchAll materializes the whole snapshot in table order, faulting
+// spilled segments in and surfacing read failures as errors. This is the
+// materialize-everything path; larger-than-memory paths iterate segments
+// via Segment.Load instead.
 func (s Snapshot) FetchAll() ([]Row, error) {
 	dst := make([]Row, 0, s.NumRows())
 	for _, seg := range s.d.segs {
@@ -238,13 +216,6 @@ func (s Snapshot) FetchAll() ([]Row, error) {
 
 // RowCount returns the table's current row count.
 func (t *Table) RowCount() int { return t.Snapshot().NumRows() }
-
-// AllRows materializes the current rows as a fresh slice of row headers in
-// table order. The rows themselves are shared and immutable.
-func (t *Table) AllRows() []Row {
-	s := t.Snapshot()
-	return s.AppendRows(make([]Row, 0, s.NumRows()))
-}
 
 // --- Writes -----------------------------------------------------------------
 
@@ -690,8 +661,8 @@ func (t *Table) IndexedColumns() []string {
 
 // Index is an ordered secondary index: (key, rowID) pairs sorted by key.
 // rowIDs are global row ordinals (segments in table order, then tail),
-// resolvable through Snapshot.Row. An Index is immutable once published;
-// maintenance clones.
+// resolvable through Snapshot.FetchRow. An Index is immutable once
+// published; maintenance clones.
 type Index struct {
 	Column  string
 	entries []indexEntry

@@ -8,6 +8,38 @@ import (
 	"lantern/internal/datum"
 )
 
+// allRows materializes tbl's current rows in table order.
+func allRows(tb testing.TB, tbl *Table) []Row {
+	tb.Helper()
+	rows, err := tbl.Snapshot().FetchAll()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rows
+}
+
+// fetchRow resolves one global row ordinal of snap.
+func fetchRow(tb testing.TB, snap Snapshot, i int) Row {
+	tb.Helper()
+	r, err := snap.FetchRow(i)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// segCol returns the typed vector of column i of seg. The vector stays
+// valid after the load's pin is released.
+func segCol(tb testing.TB, seg *Segment, i int) *ColVec {
+	tb.Helper()
+	sd, err := seg.Load()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer sd.Release()
+	return sd.Col(i)
+}
+
 func twoColTable() *Table {
 	return NewTable("t", []Column{
 		{Name: "id", Type: datum.KInt},
@@ -25,8 +57,8 @@ func TestInsertAndScan(t *testing.T) {
 	if tbl.RowCount() != 5 {
 		t.Fatalf("rows = %d, want 5", tbl.RowCount())
 	}
-	if got := len(tbl.AllRows()); got != 5 {
-		t.Fatalf("AllRows = %d rows, want 5", got)
+	if got := len(allRows(t, tbl)); got != 5 {
+		t.Fatalf("FetchAll = %d rows, want 5", got)
 	}
 }
 
@@ -42,7 +74,7 @@ func TestInsertTypeCoercion(t *testing.T) {
 	if err := tbl.Insert(Row{datum.NewInt(3), datum.NewFloat(4)}); err != nil {
 		t.Fatal(err)
 	}
-	rows := tbl.AllRows()
+	rows := allRows(t, tbl)
 	if rows[0][0].Kind() != datum.KFloat || rows[0][0].Float() != 3 {
 		t.Errorf("int->float coercion failed: %v", rows[0][0])
 	}
@@ -93,8 +125,8 @@ func TestIndexLookup(t *testing.T) {
 		t.Fatalf("Lookup(3) = %v, want 2 rows", got)
 	}
 	for _, id := range got {
-		if snap.Row(id)[0].Int() != 3 {
-			t.Errorf("row %d has key %v", id, snap.Row(id)[0])
+		if fetchRow(t, snap, id)[0].Int() != 3 {
+			t.Errorf("row %d has key %v", id, fetchRow(t, snap, id)[0])
 		}
 	}
 	if got := ix.Lookup(datum.NewInt(99)); len(got) != 0 {
@@ -116,8 +148,8 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 	}
 	snap := tbl.Snapshot()
 	for i, id := range got {
-		if snap.Row(id)[0].Int() != want[i] {
-			t.Errorf("pos %d: key %v, want %d", i, snap.Row(id)[0], want[i])
+		if fetchRow(t, snap, id)[0].Int() != want[i] {
+			t.Errorf("pos %d: key %v, want %d", i, fetchRow(t, snap, id)[0], want[i])
 		}
 	}
 }
@@ -196,7 +228,7 @@ func TestUpdate(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("updated %d, want 1", n)
 	}
-	if rows := tbl.AllRows(); rows[1][1].Str() != "z" {
+	if rows := allRows(t, tbl); rows[1][1].Str() != "z" {
 		t.Errorf("row not updated: %v", rows[1])
 	}
 }
@@ -234,7 +266,7 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 		_ = tbl.CreateIndex("id")
 		got := tbl.Index("id").Lookup(datum.NewInt(int64(probe)))
 		want := 0
-		for _, r := range tbl.AllRows() {
+		for _, r := range allRows(t, tbl) {
 			if r[0].Int() == int64(probe) {
 				want++
 			}
@@ -283,8 +315,8 @@ func TestSegmentSealOnFill(t *testing.T) {
 	}
 	// Row ordinals resolve across segments and tail in insert order.
 	for i := 0; i < 10; i++ {
-		if snap.Row(i)[0].Int() != int64(i) {
-			t.Fatalf("Row(%d) = %v", i, snap.Row(i))
+		if fetchRow(t, snap, i)[0].Int() != int64(i) {
+			t.Fatalf("Row(%d) = %v", i, fetchRow(t, snap, i))
 		}
 	}
 }
@@ -311,7 +343,7 @@ func TestSegmentTypedVectorsAndZoneMaps(t *testing.T) {
 	}
 	seg := tbl.Snapshot().Segments()[0]
 
-	iv := seg.Col(0)
+	iv := segCol(t, seg, 0)
 	if iv.Kind != datum.KInt || len(iv.Ints) != 4 {
 		t.Fatalf("int vector: kind=%v len=%d", iv.Kind, len(iv.Ints))
 	}
@@ -325,7 +357,7 @@ func TestSegmentTypedVectorsAndZoneMaps(t *testing.T) {
 		t.Errorf("int zone map: %+v", zm)
 	}
 
-	fv := seg.Col(1)
+	fv := segCol(t, seg, 1)
 	if fv.Kind != datum.KFloat || fv.Floats[0] != 1.5 || !fv.Null(1) {
 		t.Errorf("float vector wrong: %+v", fv)
 	}
@@ -333,7 +365,7 @@ func TestSegmentTypedVectorsAndZoneMaps(t *testing.T) {
 		t.Errorf("float zone map: %+v", zm)
 	}
 
-	sv := seg.Col(2)
+	sv := segCol(t, seg, 2)
 	if sv.Kind != datum.KString || sv.Strs[2] != "c" || sv.HasNulls() {
 		t.Errorf("string vector wrong: %+v", sv)
 	}
@@ -369,7 +401,7 @@ func TestInsertBatch(t *testing.T) {
 	if snap.NumRows() != 11 || len(snap.Segments()) != 2 || len(snap.Tail()) != 3 {
 		t.Fatalf("NumRows=%d segs=%d tail=%d", snap.NumRows(), len(snap.Segments()), len(snap.Tail()))
 	}
-	all := tbl.AllRows()
+	all := allRows(t, tbl)
 	if all[0][0].Int() != -1 || all[10][0].Int() != 9 {
 		t.Errorf("batch order wrong: first=%v last=%v", all[0], all[10])
 	}
@@ -395,7 +427,7 @@ func TestInsertBatchCoercesAndIndexes(t *testing.T) {
 	if err := tbl.InsertBatch([]Row{{datum.NewInt(2)}, {datum.NewInt(1)}}); err != nil {
 		t.Fatal(err)
 	}
-	rows := tbl.AllRows()
+	rows := allRows(t, tbl)
 	if rows[0][0].Kind() != datum.KFloat {
 		t.Errorf("batch row not coerced: %v", rows[0][0])
 	}
@@ -446,11 +478,11 @@ func TestUpdatePreservesSnapshots(t *testing.T) {
 		return true
 	})
 	for i := 0; i < 4; i++ {
-		if before.Row(i)[1].Str() != "old" {
+		if fetchRow(t, before, i)[1].Str() != "old" {
 			t.Fatalf("pre-update snapshot saw the update at row %d", i)
 		}
 	}
-	if tbl.AllRows()[0][1].Str() != "new" {
+	if allRows(t, tbl)[0][1].Str() != "new" {
 		t.Fatal("update not visible in new snapshot")
 	}
 }
@@ -514,7 +546,13 @@ func TestScanInsertRace(t *testing.T) {
 				n := snap.NumRows()
 				sum := 0
 				for _, seg := range snap.Segments() {
-					vec := seg.Col(0)
+					sd, err := seg.Load()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					vec := sd.Col(0)
+					sd.Release()
 					for i := 0; i < seg.NumRows(); i++ {
 						if !vec.Null(i) {
 							sum += int(vec.Ints[i])
