@@ -173,11 +173,13 @@ func BenchmarkExecStreamScanReference(b *testing.B) {
 // zone map spans the predicate, and the scan must read every row: the gap
 // between the two is what pruning buys on clustered predicates, and the
 // *NoPrune ablation (same clustered query, DisableZonePruning) isolates
-// the zone-check mechanism from the typed-loop speedup it rides on.
+// the zone-check mechanism from the typed-loop speedup it rides on. The
+// *Between twin spells the same range as BETWEEN, which must prune alike.
 
 const (
-	execPrunedScanQuery    = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_orderkey < 500`
-	execSelectiveScanQuery = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_quantity < 4.2`
+	execPrunedScanQuery        = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_orderkey < 500`
+	execPrunedBetweenScanQuery = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_orderkey BETWEEN 1 AND 499`
+	execSelectiveScanQuery     = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_quantity < 4.2`
 )
 
 func benchNoIndexConfig(c *engine.Config) {
@@ -186,6 +188,10 @@ func benchNoIndexConfig(c *engine.Config) {
 
 func BenchmarkExecScanZoneMapPruned(b *testing.B) {
 	benchQuery(b, execBenchEngineScale(b, 2, false, benchNoIndexConfig), execPrunedScanQuery)
+}
+
+func BenchmarkExecScanZoneMapPrunedBetween(b *testing.B) {
+	benchQuery(b, execBenchEngineScale(b, 2, false, benchNoIndexConfig), execPrunedBetweenScanQuery)
 }
 
 func BenchmarkExecScanZoneMapPrunedNoPrune(b *testing.B) {

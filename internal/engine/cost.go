@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"lantern/internal/catalog"
-	"lantern/internal/datum"
 	"lantern/internal/sqlparser"
 )
 
@@ -31,11 +30,14 @@ type selectivityEstimator struct {
 
 // selectivity returns the estimated fraction of rows satisfying e.
 func (s *selectivityEstimator) selectivity(e sqlparser.Expr) float64 {
+	if iv, ok := s.rangeInterval(e); ok {
+		return iv.selectivity()
+	}
 	switch ex := e.(type) {
 	case *sqlparser.BinaryExpr:
 		switch ex.Op {
 		case sqlparser.OpAnd:
-			return s.selectivity(ex.Left) * s.selectivity(ex.Right)
+			return s.conjunctSelectivity(sqlparser.SplitConjuncts(ex))
 		case sqlparser.OpOr:
 			l, r := s.selectivity(ex.Left), s.selectivity(ex.Right)
 			return l + r - l*r
@@ -43,8 +45,6 @@ func (s *selectivityEstimator) selectivity(e sqlparser.Expr) float64 {
 			return s.eqSelectivity(ex)
 		case sqlparser.OpNe:
 			return 1 - s.eqSelectivity(ex)
-		case sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-			return s.rangeSelectivity(ex)
 		}
 		return defaultSel
 	case *sqlparser.UnaryExpr:
@@ -58,7 +58,12 @@ func (s *selectivityEstimator) selectivity(e sqlparser.Expr) float64 {
 		}
 		return likeSel
 	case *sqlparser.BetweenExpr:
-		// Treated as two range predicates.
+		if ex.Not {
+			pos := *ex
+			pos.Not = false
+			return clampSel(1 - s.selectivity(&pos))
+		}
+		// Bounds without numeric statistics: two default range predicates.
 		return clampSel(defaultSel * defaultSel * 4)
 	case *sqlparser.InExpr:
 		if col, ok := ex.X.(*sqlparser.ColumnRef); ok && len(ex.List) > 0 {
@@ -116,15 +121,8 @@ func (s *selectivityEstimator) ndv(c *sqlparser.ColumnRef) int {
 }
 
 func (s *selectivityEstimator) eqSelectivity(ex *sqlparser.BinaryExpr) float64 {
-	if col, ok := ex.Left.(*sqlparser.ColumnRef); ok {
-		if _, isLit := ex.Right.(*sqlparser.Literal); isLit {
-			if ndv := s.ndv(col); ndv > 0 {
-				return clampSel(1 / float64(ndv))
-			}
-		}
-	}
-	if col, ok := ex.Right.(*sqlparser.ColumnRef); ok {
-		if _, isLit := ex.Left.(*sqlparser.Literal); isLit {
+	if cb, ok := readBounds(ex); ok {
+		if col, ok := cb.col.(*sqlparser.ColumnRef); ok {
 			if ndv := s.ndv(col); ndv > 0 {
 				return clampSel(1 / float64(ndv))
 			}
@@ -133,47 +131,86 @@ func (s *selectivityEstimator) eqSelectivity(ex *sqlparser.BinaryExpr) float64 {
 	return eqDefaultSel
 }
 
-// rangeSelectivity interpolates a comparison against a literal within the
-// column's [min, max] interval when statistics allow it.
-func (s *selectivityEstimator) rangeSelectivity(ex *sqlparser.BinaryExpr) float64 {
-	col, okc := ex.Left.(*sqlparser.ColumnRef)
-	lit, okl := ex.Right.(*sqlparser.Literal)
-	op := ex.Op
-	if !okc || !okl {
-		// literal <op> column: flip.
-		col, okc = ex.Right.(*sqlparser.ColumnRef)
-		lit, okl = ex.Left.(*sqlparser.Literal)
-		if !okc || !okl {
-			return defaultSel
+// conjunctSelectivity estimates a conjunction. Numeric range bounds on one
+// column combine into a single interval, interpolated once against the
+// column's [min, max] — `x >= a AND x <= b` and `x BETWEEN a AND b` are the
+// same interval, not two independent fractions; every other conjunct
+// multiplies in independently.
+func (s *selectivityEstimator) conjunctSelectivity(conds []sqlparser.Expr) float64 {
+	sel := 1.0
+	var ivs []rangeInterval
+	for _, c := range conds {
+		iv, ok := s.rangeInterval(c)
+		if !ok {
+			sel *= s.selectivity(c)
+			continue
 		}
-		switch op {
-		case sqlparser.OpLt:
-			op = sqlparser.OpGt
-		case sqlparser.OpLe:
-			op = sqlparser.OpGe
-		case sqlparser.OpGt:
-			op = sqlparser.OpLt
-		case sqlparser.OpGe:
-			op = sqlparser.OpLe
+		merged := false
+		for i := range ivs {
+			if *ivs[i].col == *iv.col {
+				ivs[i].lo = math.Max(ivs[i].lo, iv.lo)
+				ivs[i].hi = math.Min(ivs[i].hi, iv.hi)
+				merged = true
+				break
+			}
 		}
+		if !merged {
+			ivs = append(ivs, iv)
+		}
+	}
+	for _, iv := range ivs {
+		sel *= iv.selectivity()
+	}
+	return sel
+}
+
+// rangeInterval is a set of numeric range bounds on one column: the values
+// in [lo, hi], against statistics spanning [min, max].
+type rangeInterval struct {
+	col      *sqlparser.ColumnRef
+	min, max float64
+	lo, hi   float64
+}
+
+// selectivity interpolates the interval within the column's value range.
+func (iv rangeInterval) selectivity() float64 {
+	width := math.Min(iv.hi, iv.max) - math.Max(iv.lo, iv.min)
+	return clampSel(math.Max(0, width) / (iv.max - iv.min))
+}
+
+// rangeInterval reads e as range bounds (< <= > >=, either operand order,
+// or BETWEEN) on a column with numeric statistics and numeric literals.
+// Equality, non-numeric bounds and columns without a [min, max] are not
+// intervals; their estimates come from selectivity's other cases.
+func (s *selectivityEstimator) rangeInterval(e sqlparser.Expr) (rangeInterval, bool) {
+	cb, ok := readBounds(e)
+	if !ok {
+		return rangeInterval{}, false
+	}
+	col, ok := cb.col.(*sqlparser.ColumnRef)
+	if !ok {
+		return rangeInterval{}, false
 	}
 	cs, ok := s.colStats(col)
-	if !ok || cs.Min.IsNull() || cs.Max.IsNull() || !cs.Min.IsNumeric() || !lit.Value.IsNumeric() {
-		return defaultSel
+	if !ok || !cs.Min.IsNumeric() || !cs.Max.IsNumeric() || cs.Max.Float() <= cs.Min.Float() {
+		return rangeInterval{}, false
 	}
-	lo, hi, v := cs.Min.Float(), cs.Max.Float(), lit.Value.Float()
-	if hi <= lo {
-		return defaultSel
+	iv := rangeInterval{col: col, min: cs.Min.Float(), max: cs.Max.Float()}
+	iv.lo, iv.hi = iv.min, iv.max
+	for _, b := range cb.bounds() {
+		if !b.lit.IsNumeric() {
+			return rangeInterval{}, false
+		}
+		switch v := b.lit.Float(); b.op {
+		case sqlparser.OpGt, sqlparser.OpGe:
+			iv.lo = math.Max(iv.lo, v)
+		case sqlparser.OpLt, sqlparser.OpLe:
+			iv.hi = math.Min(iv.hi, v)
+		default: // = and <> estimate from the distinct count
+			return rangeInterval{}, false
+		}
 	}
-	frac := (v - lo) / (hi - lo)
-	frac = math.Max(0, math.Min(1, frac))
-	switch op {
-	case sqlparser.OpLt, sqlparser.OpLe:
-		return clampSel(frac)
-	case sqlparser.OpGt, sqlparser.OpGe:
-		return clampSel(1 - frac)
-	}
-	return defaultSel
+	return iv, true
 }
 
 func clampSel(s float64) float64 {
@@ -276,12 +313,4 @@ func estimateGroups(s *selectivityEstimator, keys []sqlparser.Expr, inputRows fl
 		groups = 1
 	}
 	return groups
-}
-
-// literalDatum extracts the literal value from an expression, if it is one.
-func literalDatum(e sqlparser.Expr) (datum.D, bool) {
-	if l, ok := e.(*sqlparser.Literal); ok {
-		return l.Value, true
-	}
-	return datum.Null, false
 }

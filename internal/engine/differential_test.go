@@ -109,6 +109,11 @@ var diffCorpus = []string{
 	"SELECT c_name, c_acctbal * 2 FROM customer WHERE c_acctbal > 50",
 	"SELECT c_custkey FROM customer WHERE c_custkey = 7",
 	"SELECT c_custkey FROM customer WHERE c_custkey BETWEEN 5 AND 12",
+	"SELECT c_custkey FROM customer WHERE c_custkey NOT BETWEEN 5 AND 12",
+	"SELECT c_custkey FROM customer WHERE 12 >= c_custkey AND c_acctbal BETWEEN 20 AND 120.5",
+	// An int literal against a text column compares by kind, not value.
+	"SELECT c_name FROM customer WHERE c_name >= 1",
+	"SELECT c_name FROM customer WHERE c_name BETWEEN 1 AND 'zz'",
 	"SELECT c_name FROM customer WHERE c_name LIKE 'cust1%'",
 	"SELECT c_name FROM customer WHERE c_mktsegment IN ('AUTO', 'MACHINERY')",
 	"SELECT c_name FROM customer WHERE c_acctbal IS NOT NULL AND NOT c_mktsegment = 'AUTO'",

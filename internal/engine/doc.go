@@ -64,6 +64,13 @@
 //     qualifying row indices are late-materialized, as aliases into the
 //     segment's retained row-major form — so downstream operators see
 //     ordinary rows and the mutation/retention rules below are unchanged.
+//   - The predicate shapes that prune are the ones vexpr.go specializes:
+//     a comparison of a column against a literal with the column on either
+//     side (`k < 5`, `5 > k`), `k BETWEEN lo AND hi` with literal bounds
+//     (read by bounds.go as `k >= lo AND k <= hi`, so both spellings prune
+//     alike), `IS [NOT] NULL`, and conjunctions of these — a conjunction is
+//     refuted when any conjunct is. NOT BETWEEN, OR, LIKE, IN and
+//     expressions over columns run through the closure and never prune.
 //   - Pruning is proven conservative: a segment is skipped only when the
 //     zone map refutes the predicate under the same datum.Compare total
 //     order the row-level verdicts use, so a pruned segment can never

@@ -149,7 +149,7 @@ func (e *Engine) execIndexScan(n *Node) ([]storage.Row, error) {
 }
 
 // indexBounds extracts the column and bounds from an index condition
-// (a conjunction of comparisons of one column against literals).
+// (a conjunction of bounds on one column, as read by readBounds).
 func indexBounds(cond sqlparser.Expr) (col string, lo, hi datum.D, incLo, incHi bool, eq datum.D, hasEq bool, err error) {
 	lo, hi, eq = datum.Null, datum.Null, datum.Null
 	incLo, incHi = true, true
@@ -171,44 +171,15 @@ func indexBounds(cond sqlparser.Expr) (col string, lo, hi datum.D, incLo, incHi 
 		}
 	}
 	for _, c := range sqlparser.SplitConjuncts(cond) {
-		switch ex := c.(type) {
-		case *sqlparser.BinaryExpr:
-			if cr, ok := ex.Left.(*sqlparser.ColumnRef); ok {
-				if v, isLit := literalDatum(ex.Right); isLit {
-					tighten(cr.Name, ex.Op, v)
-					continue
-				}
-			}
-			if cr, ok := ex.Right.(*sqlparser.ColumnRef); ok {
-				if v, isLit := literalDatum(ex.Left); isLit {
-					// flip operator
-					switch ex.Op {
-					case sqlparser.OpLt:
-						tighten(cr.Name, sqlparser.OpGt, v)
-					case sqlparser.OpLe:
-						tighten(cr.Name, sqlparser.OpGe, v)
-					case sqlparser.OpGt:
-						tighten(cr.Name, sqlparser.OpLt, v)
-					case sqlparser.OpGe:
-						tighten(cr.Name, sqlparser.OpLe, v)
-					default:
-						tighten(cr.Name, ex.Op, v)
-					}
-					continue
-				}
-			}
-		case *sqlparser.BetweenExpr:
-			cr, ok := ex.X.(*sqlparser.ColumnRef)
-			loV, okLo := literalDatum(ex.Lo)
-			hiV, okHi := literalDatum(ex.Hi)
-			if ok && okLo && okHi {
-				tighten(cr.Name, sqlparser.OpGe, loV)
-				tighten(cr.Name, sqlparser.OpLe, hiV)
-				continue
-			}
+		cb, ok := readBounds(c)
+		cr, isCol := cb.col.(*sqlparser.ColumnRef)
+		if !ok || !isCol || !indexableBounds(cb.bounds()) {
+			return "", datum.Null, datum.Null, false, false, datum.Null, false,
+				fmt.Errorf("engine: unsupported index condition %s", sqlparser.FormatExpr(c))
 		}
-		return "", datum.Null, datum.Null, false, false, datum.Null, false,
-			fmt.Errorf("engine: unsupported index condition %s", sqlparser.FormatExpr(c))
+		for _, b := range cb.bounds() {
+			tighten(cr.Name, b.op, b.lit)
+		}
 	}
 	if col == "" {
 		return "", datum.Null, datum.Null, false, false, datum.Null, false,

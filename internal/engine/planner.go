@@ -265,11 +265,7 @@ func (p *planner) planScan(rel relation) (*Node, error) {
 	p.compactPreds()
 
 	baseRows := float64(stats.RowCount)
-	sel := 1.0
-	for _, f := range filters {
-		sel *= p.est.selectivity(f)
-	}
-	outRows := baseRows * sel
+	outRows := baseRows * p.est.conjunctSelectivity(filters)
 	if outRows < 1 {
 		outRows = 1
 	}
@@ -293,11 +289,7 @@ func (p *planner) planScan(rel relation) (*Node, error) {
 		if len(idxConds) == 0 {
 			continue
 		}
-		idxSel := 1.0
-		for _, c := range idxConds {
-			idxSel *= p.est.selectivity(c)
-		}
-		matchRows := baseRows * idxSel
+		matchRows := baseRows * p.est.conjunctSelectivity(idxConds)
 		if matchRows < 1 {
 			matchRows = 1
 		}
@@ -374,35 +366,24 @@ func splitIndexConds(filters []sqlparser.Expr, alias, col string, colOwner map[s
 		return c.Table == alias || (c.Table == "" && colOwner[col] == alias)
 	}
 	for _, f := range filters {
-		switch ex := f.(type) {
-		case *sqlparser.BinaryExpr:
-			if _, isLit := literalDatum(ex.Right); isLit && matchesCol(ex.Left) {
-				switch ex.Op {
-				case sqlparser.OpEq, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-					idx = append(idx, f)
-					continue
-				}
-			}
-			if _, isLit := literalDatum(ex.Left); isLit && matchesCol(ex.Right) {
-				switch ex.Op {
-				case sqlparser.OpEq, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-					idx = append(idx, f)
-					continue
-				}
-			}
-		case *sqlparser.BetweenExpr:
-			if !ex.Not && matchesCol(ex.X) {
-				_, loLit := literalDatum(ex.Lo)
-				_, hiLit := literalDatum(ex.Hi)
-				if loLit && hiLit {
-					idx = append(idx, f)
-					continue
-				}
-			}
+		if cb, ok := readBounds(f); ok && matchesCol(cb.col) && indexableBounds(cb.bounds()) {
+			idx = append(idx, f)
+			continue
 		}
 		rest = append(rest, f)
 	}
 	return idx, rest
+}
+
+// indexableBounds reports whether an ordered index can seek every bound:
+// all but <>.
+func indexableBounds(bs []colBound) bool {
+	for _, b := range bs {
+		if b.op == sqlparser.OpNe {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *planner) compactPreds() {
@@ -813,10 +794,7 @@ func (p *planner) applyResidual(root *Node, aliases []string) (*Node, error) {
 	if len(rest) == 0 {
 		return root, nil
 	}
-	sel := 1.0
-	for _, f := range rest {
-		sel *= p.est.selectivity(f)
-	}
+	sel := p.est.conjunctSelectivity(rest)
 	// Fold into the root node's filter.
 	combined := sqlparser.JoinConjuncts(append(sqlparser.SplitConjuncts(root.Filter), rest...))
 	root.Filter = combined

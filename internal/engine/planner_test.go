@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -61,6 +62,40 @@ func TestRangeSelectivityInterpolates(t *testing.T) {
 	flipped := estRowsOf(t, e, "SELECT * FROM s WHERE 250 > id")
 	if flipped < 150 || flipped > 400 {
 		t.Errorf("250>id estimate = %.0f, want ~250", flipped)
+	}
+}
+
+// TestRangeSpellingsEstimateAlike: statsEngine's s is clustered by id, so
+// a range over id is one interval of [1, 1000]. BETWEEN and its >= AND <=
+// spelling must estimate that interval once (not as two independent
+// fractions), agree with each other and land within 2x of the actual
+// rows; NOT BETWEEN estimates the complement.
+func TestRangeSpellingsEstimateAlike(t *testing.T) {
+	e := statsEngine(t)
+	const base = 1000.0
+	for _, r := range [][2]int{{200, 299}, {1, 10}, {990, 1000}, {400, 800}} {
+		between := fmt.Sprintf("SELECT * FROM s WHERE id BETWEEN %d AND %d", r[0], r[1])
+		geLe := fmt.Sprintf("SELECT * FROM s WHERE id >= %d AND id <= %d", r[0], r[1])
+		flipped := fmt.Sprintf("SELECT * FROM s WHERE %d <= id AND %d >= id", r[0], r[1])
+		notBetween := fmt.Sprintf("SELECT * FROM s WHERE id NOT BETWEEN %d AND %d", r[0], r[1])
+		est := estRowsOf(t, e, between)
+		if got := estRowsOf(t, e, geLe); got != est {
+			t.Errorf("%s: estimate %.1f, BETWEEN estimates %.1f", geLe, got, est)
+		}
+		if got := estRowsOf(t, e, flipped); got != est {
+			t.Errorf("%s: estimate %.1f, BETWEEN estimates %.1f", flipped, got, est)
+		}
+		res, err := e.Exec(between)
+		if err != nil {
+			t.Fatal(err)
+		}
+		actual := float64(len(res.Rows))
+		if est > 2*actual || actual > 2*est {
+			t.Errorf("%s: estimate %.1f, actual %.0f rows", between, est, actual)
+		}
+		if got, want := estRowsOf(t, e, notBetween), base-est; math.Abs(got-want) > 1e-6 {
+			t.Errorf("%s: estimate %.1f, want %.1f (1 - BETWEEN)", notBetween, got, want)
+		}
 	}
 }
 

@@ -4,7 +4,8 @@ package engine
 // batch executor (vec.go). Where bind.go compiles an expression into a
 // per-row closure, compileVecPred goes one step further for the predicate
 // shapes that dominate scan filters — comparisons of a column against a
-// literal or another column, IS [NOT] NULL, and conjunctions of those —
+// literal (either side, or BETWEEN two literals; see bounds.go) or another
+// column, IS [NOT] NULL, and conjunctions of those —
 // and emits a selector that runs a tight typed loop over a whole batch:
 // one ordinal load and one datum comparison per row, no closure calls, no
 // three-valued-logic boxing. Anything the specializer does not recognize
@@ -33,81 +34,57 @@ type vecPred interface {
 }
 
 // compileVecPred compiles e into a vectorized selector over schema.
+// Conjunctions chain selectors: each conjunct filters the survivors of the
+// previous one, and a conjunct read as two bounds (BETWEEN) contributes
+// one comparison per bound, so the chain stays flat.
 func compileVecPred(e sqlparser.Expr, schema []colRef, sub subqueryFn) (vecPred, error) {
-	// Conjunctions chain specialized selectors; each conjunct filters the
-	// survivors of the previous one.
-	if conds := sqlparser.SplitConjuncts(e); len(conds) > 1 {
-		preds := make([]vecPred, len(conds))
-		for i, c := range conds {
-			p, err := compileVecPred(c, schema, sub)
-			if err != nil {
-				return nil, err
-			}
-			preds[i] = p
+	var preds []vecPred
+	for _, c := range sqlparser.SplitConjuncts(e) {
+		var ok bool
+		if preds, ok = specializePred(preds, c, schema); ok {
+			continue
 		}
-		return &andPred{preds: preds}, nil
+		b, err := bindExpr(c, schema, sub)
+		if err != nil {
+			return nil, err
+		}
+		preds = append(preds, &exprPred{bound: b})
 	}
-	if p := specializePred(e, schema); p != nil {
-		return p, nil
+	if len(preds) == 1 {
+		return preds[0], nil
 	}
-	b, err := bindExpr(e, schema, sub)
-	if err != nil {
-		return nil, err
-	}
-	return &exprPred{bound: b}, nil
+	return &andPred{preds: preds}, nil
 }
 
-// specializePred recognizes the typed-loop-able predicate shapes; nil means
-// "use the closure fallback".
-func specializePred(e sqlparser.Expr, schema []colRef) vecPred {
+// specializePred appends the typed-loop selectors for e to dst; false means
+// "use the closure fallback" (dst is returned unchanged).
+func specializePred(dst []vecPred, e sqlparser.Expr, schema []colRef) ([]vecPred, bool) {
+	if cb, ok := readBounds(e); ok {
+		ord, ok := columnOrdinal(cb.col, schema)
+		if !ok {
+			return dst, false
+		}
+		for _, b := range cb.bounds() {
+			dst = append(dst, &cmpColLit{ord: ord, op: b.op, lit: b.lit})
+		}
+		return dst, true
+	}
 	switch ex := e.(type) {
 	case *sqlparser.BinaryExpr:
-		switch ex.Op {
-		case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-		default:
-			return nil
+		if !isComparison(ex.Op) {
+			return dst, false
 		}
 		lOrd, lCol := columnOrdinal(ex.Left, schema)
 		rOrd, rCol := columnOrdinal(ex.Right, schema)
-		lLit, lIsLit := literalValue(ex.Left)
-		rLit, rIsLit := literalValue(ex.Right)
-		switch {
-		case lCol && rIsLit:
-			return &cmpColLit{ord: lOrd, op: ex.Op, lit: rLit}
-		case lIsLit && rCol:
-			return &cmpColLit{ord: rOrd, op: flipCmp(ex.Op), lit: lLit}
-		case lCol && rCol:
-			return &cmpColCol{a: lOrd, b: rOrd, op: ex.Op}
+		if lCol && rCol {
+			return append(dst, &cmpColCol{a: lOrd, b: rOrd, op: ex.Op}), true
 		}
 	case *sqlparser.IsNullExpr:
 		if ord, ok := columnOrdinal(ex.X, schema); ok {
-			return &isNullPred{ord: ord, not: ex.Not}
+			return append(dst, &isNullPred{ord: ord, not: ex.Not}), true
 		}
 	}
-	return nil
-}
-
-func literalValue(e sqlparser.Expr) (datum.D, bool) {
-	if lit, ok := e.(*sqlparser.Literal); ok {
-		return lit.Value, true
-	}
-	return datum.Null, false
-}
-
-// flipCmp mirrors a comparison operator for swapped operands
-// (lit op col ⇒ col flip(op) lit).
-func flipCmp(op sqlparser.BinOp) sqlparser.BinOp {
-	switch op {
-	case sqlparser.OpLt:
-		return sqlparser.OpGt
-	case sqlparser.OpLe:
-		return sqlparser.OpGe
-	case sqlparser.OpGt:
-		return sqlparser.OpLt
-	case sqlparser.OpGe:
-		return sqlparser.OpLe
-	}
-	return op // Eq / Ne are symmetric
+	return dst, false
 }
 
 // cmpHolds evaluates the comparison verdict from a three-way compare.
@@ -149,10 +126,9 @@ func (p *cmpColLit) selectInto(out []storage.Row, in []storage.Row) ([]storage.R
 		for _, r := range in {
 			v := r[p.ord]
 			if v.Kind() != datum.KInt {
-				if v.IsNull() {
-					continue
-				}
-				if v.IsNumeric() && cmpHolds(p.op, datum.Compare(v, p.lit)) {
+				// Floats widen; other kinds order by kind, as in the
+				// general loop below.
+				if !v.IsNull() && cmpHolds(p.op, datum.Compare(v, p.lit)) {
 					out = append(out, r)
 				}
 				continue

@@ -6,10 +6,13 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"lantern/internal/engine"
 	"lantern/internal/pool"
 )
 
@@ -47,6 +50,64 @@ func TestQueryEndToEnd(t *testing.T) {
 	}
 	if resp.Cached {
 		t.Error("first query must be a narration miss")
+	}
+}
+
+// TestQueryNarratesZonePruningForBetween: the learner reads zone-map
+// pruning in the narration of a /v2/query. Over a table of ten sealed
+// segments clustered by k, a BETWEEN range must skip as many segments as
+// its >= AND <= spelling, and say so — and, with both spellings estimated
+// as one interval, the scan carries no mis-estimate callout.
+func TestQueryNarratesZonePruningForBetween(t *testing.T) {
+	eng := engine.NewDefault()
+	if _, err := eng.Exec("CREATE TABLE r (k INTEGER, v FLOAT)"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := eng.Cat.Table("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.SetSegmentCapacity(64); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 640; i++ {
+		if _, err := eng.Exec(fmt.Sprintf("INSERT INTO r VALUES (%d, %d.5)", i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := NewServer(eng, pool.NewSeededStore(), Config{})
+	t.Cleanup(srv.Close)
+	skipping := regexp.MustCompile(`skipping (\d+) of (\d+) storage segments via zone maps`)
+	scanStep := func(where string) string {
+		t.Helper()
+		resp, err := srv.Do(context.Background(), &Request{Op: OpQuery, SQL: "SELECT COUNT(*), SUM(v) FROM r WHERE " + where})
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		for _, line := range strings.Split(resp.Query.Text, "\n") {
+			if strings.Contains(line, "sequential scan on r") {
+				return line
+			}
+		}
+		t.Fatalf("%s: no scan step in narration:\n%s", where, resp.Query.Text)
+		return ""
+	}
+	between := scanStep("k BETWEEN 100 AND 163")
+	geLe := scanStep("k >= 100 AND k <= 163")
+	bm, gm := skipping.FindStringSubmatch(between), skipping.FindStringSubmatch(geLe)
+	if bm == nil || gm == nil {
+		t.Fatalf("scan steps do not narrate zone-map pruning:\n%s\n%s", between, geLe)
+	}
+	if bm[1] != gm[1] || bm[2] != gm[2] {
+		t.Errorf("BETWEEN skips %s of %s segments, >= AND <= skips %s of %s", bm[1], bm[2], gm[1], gm[2])
+	}
+	if bm[1] != "8" || bm[2] != "10" {
+		t.Errorf("BETWEEN skips %s of %s segments, want 8 of 10:\n%s", bm[1], bm[2], between)
+	}
+	for _, step := range []string{between, geLe} {
+		if strings.Contains(step, "estimate") {
+			t.Errorf("scan step carries a mis-estimate callout:\n%s", step)
+		}
 	}
 }
 
